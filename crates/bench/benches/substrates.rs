@@ -3,10 +3,12 @@
 
 use chirp_branch::{BranchConfig, BranchUnit};
 use chirp_mem::{HierarchyConfig, MemoryHierarchy};
+use chirp_store::{ArchiveOutcome, ArchiveTraceStream, TempDir, TraceArchive};
 use chirp_tlb::policies::Lru;
 use chirp_tlb::{TlbHierarchy, TlbHierarchyConfig, TranslationKind};
 use chirp_trace::gen::{ContextCopy, ScanIndex, WebServe, WorkloadGen};
-use chirp_trace::{read_trace, vpn, write_trace};
+use chirp_trace::stream::TraceStream;
+use chirp_trace::{read_trace, read_trace_packed, vpn, write_trace, PackedTrace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_generators(c: &mut Criterion) {
@@ -26,6 +28,26 @@ fn bench_codec(c: &mut Criterion) {
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.bench_function("encode", |b| b.iter(|| write_trace(&trace)));
     group.bench_function("decode", |b| b.iter(|| read_trace(&bytes).unwrap()));
+    group.bench_function("decode_packed", |b| b.iter(|| read_trace_packed(&bytes).unwrap()));
+
+    // The archive replay path: a checksummed file streamed in batches.
+    let root = TempDir::new("bench-codec");
+    let mut archive = TraceArchive::open(root.path()).unwrap();
+    let encoded = TraceArchive::encode_packed(&PackedTrace::from_records(&trace));
+    let key = encoded.checksum;
+    TraceArchive::store_file(&archive.trace_path(key), &encoded).unwrap();
+    archive.commit(key, &encoded, ArchiveOutcome::MissGenerated).unwrap();
+    let (path, meta) = (archive.trace_path(key), archive.entry_meta(key).unwrap());
+    group.bench_function("archive_stream", |b| {
+        b.iter(|| {
+            let mut stream = ArchiveTraceStream::open(&path, meta, 65_536).unwrap();
+            let mut records = 0;
+            while let Some(batch) = stream.next_batch().unwrap() {
+                records += batch.len();
+            }
+            records
+        })
+    });
     group.finish();
 }
 

@@ -577,7 +577,19 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
     }
     shared.metrics.counter("trace_bytes_received").add(buf.len() as u64);
 
-    // Decode and cross-check the declaration admission was based on.
+    // Cross-check the declaration admission was based on before decoding:
+    // the trace's own header must claim the records the request did. A
+    // trace that decodes holds exactly its header's count, so this is the
+    // only count check needed.
+    if let Ok(records) = peek_record_count(&buf) {
+        if records != header.records {
+            let resp = error_response(
+                err::BAD_REQUEST,
+                format!("declared {} records, trace header says {records}", header.records),
+            );
+            return write_response(stream, &resp).is_ok();
+        }
+    }
     let trace = match read_trace_packed(&buf) {
         Ok(trace) => trace,
         Err(e) => {
@@ -586,14 +598,6 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, header: SubmitHea
             return write_response(stream, &resp).is_ok();
         }
     };
-    if trace.len() as u64 != header.records {
-        let resp = error_response(
-            err::BAD_REQUEST,
-            format!("declared {} records, trace has {}", header.records, trace.len()),
-        );
-        return write_response(stream, &resp).is_ok();
-    }
-
     // Archive by content hash so the upload is replayable via
     // RunArchived; then simulate.
     let hash = fnv64(&buf);

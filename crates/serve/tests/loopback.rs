@@ -330,6 +330,64 @@ fn error_codes_reach_the_client() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// Submits `bytes` by hand under a wire header declaring `records`,
+/// returning the server's answer to the finished upload.
+fn submit_raw(addr: std::net::SocketAddr, bytes: &[u8], records: u64) -> Response {
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    write_request(
+        &mut raw,
+        &Request::Submit {
+            name: "raw".into(),
+            category: "mixed".into(),
+            seed: 1,
+            policies: policy_labels(),
+            trace_bytes: bytes.len() as u64,
+            records,
+            telemetry: false,
+        },
+    )
+    .expect("send submit");
+    match read_response(&mut raw).expect("read").expect("response") {
+        Response::Go => {}
+        other => panic!("expected go, got {other:?}"),
+    }
+    write_request(&mut raw, &Request::TraceChunk(bytes.to_vec())).expect("send chunk");
+    write_request(&mut raw, &Request::TraceEnd).expect("send end");
+    read_response(&mut raw).expect("read").expect("response")
+}
+
+#[test]
+fn header_bomb_is_rejected_and_the_server_keeps_serving() {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let spec = &suite[0];
+    let valid = write_trace_packed(&spec.generate_packed(1_000));
+    // A 16-byte trace whose header declares four billion records: decoding
+    // it used to reserve 32 GB up front and abort the whole process.
+    let mut bomb = valid[..16].to_vec();
+    bomb[5..13].copy_from_slice(&4_000_000_000u64.to_le_bytes());
+
+    let root = TempDir::new("serve-header-bomb");
+    let handle = start_server(&root, None);
+
+    // The request understates the count: refused before any decoding.
+    match submit_raw(handle.addr(), &bomb, 1) {
+        Response::Error { code, .. } => assert_eq!(code, err::BAD_REQUEST),
+        other => panic!("expected bad-request error, got {other:?}"),
+    }
+    // The request agrees with the bomb: the decoder refuses it.
+    match submit_raw(handle.addr(), &bomb, 4_000_000_000) {
+        Response::Error { code, .. } => assert_eq!(code, err::BAD_TRACE),
+        other => panic!("expected bad-trace error, got {other:?}"),
+    }
+
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let verdict = submit(&mut client, spec, &valid);
+    assert_eq!(verdict.verdicts.len(), POLICIES.len(), "server still simulates");
+
+    drop(client);
+    handle.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn control_socket_shutdown_drains_cleanly() {
     let root = TempDir::new("serve-shutdown");

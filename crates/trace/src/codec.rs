@@ -24,6 +24,9 @@ use std::fmt;
 const MAGIC: &[u8; 4] = b"CHRP";
 const VERSION: u8 = 1;
 
+/// Smallest encoded record: kind, flags and a one-byte PC delta.
+const MIN_RECORD_BYTES: usize = 3;
+
 const FLAG_TAKEN: u8 = 1 << 0;
 const FLAG_HAS_EA: u8 = 1 << 1;
 const FLAG_HAS_TARGET: u8 = 1 << 2;
@@ -122,10 +125,47 @@ impl ByteSource for SliceSource<'_> {
     }
 }
 
-/// Adapter over any `io::Read`; wrap the reader in a `BufReader` (the
-/// decoder pulls single bytes).
+/// Bytes [`ReaderSource`] pulls from its reader per refill.
+const READ_BLOCK_BYTES: usize = 64 * 1024;
+
+/// Adapter over any `io::Read` that owns a fixed block buffer: the
+/// decoder indexes bytes out of the block and only goes back to the
+/// reader (one `read` of up to [`READ_BLOCK_BYTES`]) when it runs dry, so
+/// the per-byte cost is an index and a compare. Callers need not wrap the
+/// reader in a `BufReader`.
 struct ReaderSource<R: std::io::Read> {
     inner: R,
+    buf: Box<[u8]>,
+    /// Next unread byte in `buf`.
+    pos: usize,
+    /// End of the valid bytes in `buf`.
+    end: usize,
+}
+
+impl<R: std::io::Read> ReaderSource<R> {
+    fn new(inner: R) -> ReaderSource<R> {
+        ReaderSource { inner, buf: vec![0; READ_BLOCK_BYTES].into_boxed_slice(), pos: 0, end: 0 }
+    }
+
+    /// Replaces the drained block with the reader's next bytes. A reader
+    /// at end of stream is `Truncated` (the caller needed another byte).
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> Result<(), ChunkedDecodeError> {
+        debug_assert_eq!(self.pos, self.end, "refill of a non-empty block");
+        loop {
+            match self.inner.read(&mut self.buf) {
+                Ok(0) => return Err(CodecError::Truncated.into()),
+                Ok(n) => {
+                    self.pos = 0;
+                    self.end = n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(ChunkedDecodeError::Io(e)),
+            }
+        }
+    }
 }
 
 impl<R: std::io::Read> ByteSource for ReaderSource<R> {
@@ -133,19 +173,26 @@ impl<R: std::io::Read> ByteSource for ReaderSource<R> {
 
     #[inline]
     fn get_u8(&mut self) -> Result<u8, ChunkedDecodeError> {
-        let mut byte = [0u8; 1];
-        self.fill_exact(&mut byte)?;
-        Ok(byte[0])
+        if self.pos == self.end {
+            self.refill()?;
+        }
+        let byte = self.buf[self.pos];
+        self.pos += 1;
+        Ok(byte)
     }
 
     fn fill_exact(&mut self, out: &mut [u8]) -> Result<(), ChunkedDecodeError> {
-        self.inner.read_exact(out).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                ChunkedDecodeError::Codec(CodecError::Truncated)
-            } else {
-                ChunkedDecodeError::Io(e)
+        let mut filled = 0;
+        while filled < out.len() {
+            if self.pos == self.end {
+                self.refill()?;
             }
-        })
+            let n = (self.end - self.pos).min(out.len() - filled);
+            out[filled..filled + n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+            self.pos += n;
+            filled += n;
+        }
+        Ok(())
     }
 }
 
@@ -288,8 +335,12 @@ impl<'a> Decoder<'a> {
         self.core.next_record(&mut self.src)
     }
 
-    fn remaining(&self) -> usize {
-        self.core.remaining
+    /// Records to reserve up front: the declared count, capped at what
+    /// the undecoded bytes can hold, so a header declaring billions of
+    /// records cannot make the caller allocate for them.
+    fn capacity_hint(&self) -> usize {
+        let undecoded = self.src.data.len() - self.src.pos;
+        self.core.remaining.min(undecoded / MIN_RECORD_BYTES)
     }
 }
 
@@ -327,8 +378,9 @@ impl std::error::Error for ChunkedDecodeError {}
 /// paths, so the decoded record sequence is bit-identical to
 /// [`read_trace_packed`] on the concatenated chunks.
 ///
-/// Wrap file readers in a [`std::io::BufReader`] — the decoder pulls
-/// single bytes from the source.
+/// The decoder reads its source in blocks of 64 KiB into a buffer it
+/// owns, so pass file readers unwrapped: a `BufReader` would only add a
+/// second copy.
 ///
 /// ```
 /// use chirp_trace::{codec::ChunkedDecoder, write_trace, TraceRecord};
@@ -355,7 +407,7 @@ impl<R: std::io::Read> ChunkedDecoder<R> {
     /// Fails on a bad magic/version, a header cut short
     /// (`Codec(Truncated)`), or a reader I/O error.
     pub fn new(reader: R) -> Result<ChunkedDecoder<R>, ChunkedDecodeError> {
-        let mut src = ReaderSource { inner: reader };
+        let mut src = ReaderSource::new(reader);
         let core = DecoderCore::read_header(&mut src)?;
         Ok(ChunkedDecoder { src, core })
     }
@@ -389,7 +441,10 @@ impl<R: std::io::Read> ChunkedDecoder<R> {
     }
 
     /// Consumes the decoder, returning the underlying reader — lets a
-    /// checksumming reader be inspected once decoding is done.
+    /// checksumming reader be inspected once decoding is done. The reader
+    /// has been read up to the end of the last block the decoder pulled:
+    /// bytes buffered but not yet decoded are dropped here, after the
+    /// reader (and any wrapper counting what passes through it) saw them.
     pub fn into_inner(self) -> R {
         self.src.inner
     }
@@ -403,21 +458,13 @@ impl<R: std::io::Read> ChunkedDecoder<R> {
 /// version or kind, or contains a malformed varint.
 pub fn read_trace(data: &[u8]) -> Result<Vec<TraceRecord>, CodecError> {
     let mut decoder = Decoder::new(data)?;
-    let mut out = Vec::with_capacity(decoder.remaining());
+    let mut out = Vec::with_capacity(decoder.capacity_hint());
     while let Some(rec) = decoder.next_record()? {
         out.push(rec);
     }
     Ok(out)
 }
 
-/// Deserialises a trace directly into [`PackedTrace`] form, never
-/// materialising the flat 40-byte-per-record vector — the suite runner's
-/// archive-decode path. Accepts exactly the buffers [`read_trace`] accepts
-/// and yields the identical record sequence.
-///
-/// # Errors
-///
-/// Same failure modes as [`read_trace`].
 /// Reads the record count out of a `CHRP` header without decoding any
 /// records — lets a client declare a trace's size (for server-side
 /// admission control) from the first 13 bytes of the file.
@@ -439,9 +486,17 @@ pub fn peek_record_count(data: &[u8]) -> Result<u64, CodecError> {
     Ok(u64::from_le_bytes(data[5..13].try_into().expect("8-byte slice")))
 }
 
+/// Deserialises a trace directly into [`PackedTrace`] form, never
+/// materialising the flat 40-byte-per-record vector — the suite runner's
+/// archive-decode path. Accepts exactly the buffers [`read_trace`] accepts
+/// and yields the identical record sequence.
+///
+/// # Errors
+///
+/// Same failure modes as [`read_trace`].
 pub fn read_trace_packed(data: &[u8]) -> Result<PackedTrace, CodecError> {
     let mut decoder = Decoder::new(data)?;
-    let mut builder = PackedTraceBuilder::with_capacity(decoder.remaining());
+    let mut builder = PackedTraceBuilder::with_capacity(decoder.capacity_hint());
     while let Some(rec) = decoder.next_record()? {
         builder.push(rec);
     }
@@ -612,6 +667,111 @@ mod tests {
         assert!(dec.next_chunk(16).unwrap().is_none());
     }
 
+    /// A reader that hands out at most a few bytes per call, cycling the
+    /// read size through `1..=max`, so the decoder's block refills land
+    /// mid-record. Every third call fails with `Interrupted` when
+    /// `interrupt` is set.
+    struct ShortReads<'a> {
+        data: &'a [u8],
+        max: usize,
+        calls: usize,
+        interrupt: bool,
+    }
+
+    impl ShortReads<'_> {
+        fn new(data: &[u8], max: usize) -> ShortReads<'_> {
+            ShortReads { data, max, calls: 0, interrupt: false }
+        }
+    }
+
+    impl std::io::Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = (self.calls % self.max + 1).min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Drains a chunked decoder, returning every record it produced.
+    fn drain<R: std::io::Read>(
+        mut dec: ChunkedDecoder<R>,
+        chunk: usize,
+    ) -> Result<Vec<TraceRecord>, ChunkedDecodeError> {
+        let mut got = Vec::new();
+        while let Some(batch) = dec.next_chunk(chunk)? {
+            got.extend(batch.iter());
+        }
+        Ok(got)
+    }
+
+    /// An encoding several decode blocks long, mixing every record shape.
+    fn multi_block_trace() -> Vec<TraceRecord> {
+        let mut trace = Vec::new();
+        let mut pc = 0x40_0000u64;
+        for i in 0..40_000u64 {
+            pc = pc.wrapping_add(4 + (i % 7) * 0x1000);
+            trace.push(match i % 5 {
+                0 => TraceRecord::alu(pc),
+                1 => TraceRecord::load(pc, 0x7fff_0000_0000 + i * 64),
+                2 => TraceRecord::cond_branch(pc, pc ^ 0xfff0, i.is_multiple_of(3)),
+                3 => TraceRecord::store(pc, i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                _ => TraceRecord::ret(pc, pc.wrapping_sub(0x123_4567)),
+            });
+        }
+        trace
+    }
+
+    #[test]
+    fn header_declaring_billions_of_records_is_truncated_not_an_abort() {
+        for count in [4_000_000_000u64, u64::MAX] {
+            let mut bytes = write_trace(&[TraceRecord::alu(0x400000)]);
+            bytes[5..13].copy_from_slice(&count.to_le_bytes());
+            bytes.truncate(16);
+            assert_eq!(read_trace(&bytes), Err(CodecError::Truncated), "count {count}");
+            assert_eq!(read_trace_packed(&bytes), Err(CodecError::Truncated), "count {count}");
+            let streamed = ChunkedDecoder::new(&bytes[..]).and_then(|dec| drain(dec, 4096));
+            assert!(
+                matches!(streamed, Err(ChunkedDecodeError::Codec(CodecError::Truncated))),
+                "count {count}: {streamed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn multi_block_stream_matches_slice_decode_at_any_read_size() {
+        let trace = multi_block_trace();
+        let bytes = write_trace(&trace);
+        assert!(bytes.len() > 3 * READ_BLOCK_BYTES, "only {} bytes", bytes.len());
+        let whole = ChunkedDecoder::new(&bytes[..]).and_then(|dec| drain(dec, 4_093)).unwrap();
+        assert_eq!(whole, trace, "full-block reads");
+        for (max, interrupt) in [(1usize, false), (7, true), (4_099, false), (70_000, true)] {
+            let reader = ShortReads { interrupt, ..ShortReads::new(&bytes, max) };
+            let got = ChunkedDecoder::new(reader).and_then(|dec| drain(dec, 1_000)).unwrap();
+            assert_eq!(got, trace, "reads of at most {max} bytes, interrupt {interrupt}");
+        }
+    }
+
+    #[test]
+    fn reader_failures_surface_as_io_errors() {
+        struct Failing;
+        impl std::io::Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::PermissionDenied.into())
+            }
+        }
+        assert!(matches!(ChunkedDecoder::new(Failing), Err(ChunkedDecodeError::Io(_))));
+        // The failure can also strike after the header, mid-record.
+        let bytes = write_trace(&multi_block_trace());
+        let failing_tail = std::io::Read::chain(&bytes[..READ_BLOCK_BYTES + 100], Failing);
+        let outcome = ChunkedDecoder::new(failing_tail).and_then(|dec| drain(dec, 512));
+        assert!(matches!(outcome, Err(ChunkedDecodeError::Io(_))), "{outcome:?}");
+    }
+
     #[test]
     fn zigzag_is_involutive() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 0x7fff_ffff_ffff] {
@@ -649,14 +809,25 @@ mod tests {
             }
 
             #[test]
-            fn every_strict_prefix_is_rejected(trace in vec(arb_record(), 0..40usize)) {
+            fn every_strict_prefix_is_rejected(
+                trace in vec(arb_record(), 0..40usize),
+                max_read in 1usize..16,
+            ) {
                 // The header declares a record count, so no strict prefix
-                // of a valid encoding may decode successfully.
+                // of a valid encoding may decode successfully, on either
+                // path.
                 let bytes = write_trace(&trace);
                 for cut in 0..bytes.len() {
                     prop_assert!(
                         read_trace(&bytes[..cut]).is_err(),
                         "prefix of length {} decoded",
+                        cut
+                    );
+                    let streamed = ChunkedDecoder::new(ShortReads::new(&bytes[..cut], max_read))
+                        .and_then(|dec| drain(dec, 8));
+                    prop_assert!(
+                        matches!(streamed, Err(ChunkedDecodeError::Codec(_))),
+                        "prefix of length {} streamed",
                         cut
                     );
                 }
@@ -672,16 +843,61 @@ mod tests {
 
             #[test]
             fn chunked_decode_agrees_with_flat_decode(
-                trace in vec(arb_record(), 0..200usize),
+                trace in vec(arb_record(), 0..300usize),
                 chunk in 1usize..64,
+                max_read in 1usize..24,
             ) {
+                // Reads of a few bytes split records at every refill.
                 let bytes = write_trace(&trace);
-                let mut dec = ChunkedDecoder::new(&bytes[..]).unwrap();
-                let mut got = Vec::new();
-                while let Some(batch) = dec.next_chunk(chunk).unwrap() {
-                    got.extend(batch.iter());
-                }
+                let got = ChunkedDecoder::new(ShortReads::new(&bytes, max_read))
+                    .and_then(|dec| drain(dec, chunk))
+                    .unwrap();
                 prop_assert_eq!(got, trace);
+            }
+
+            #[test]
+            fn chunked_decode_of_random_bytes_errs_without_panicking(
+                body in vec(any::<u8>(), 0..400usize),
+                count in 0u64..1_000,
+                max_read in 1usize..32,
+            ) {
+                // A valid header over random record bytes: reaches the
+                // record decoder, which must fail cleanly or decode.
+                let mut bytes = write_trace(&[]);
+                bytes[5..13].copy_from_slice(&count.to_le_bytes());
+                bytes.extend_from_slice(&body);
+                let streamed = ChunkedDecoder::new(ShortReads::new(&bytes, max_read))
+                    .and_then(|dec| drain(dec, 16));
+                let sliced = read_trace_packed(&bytes).map(|t| t.to_records());
+                prop_assert_eq!(streamed.is_ok(), sliced.is_ok());
+                if let (Ok(streamed), Ok(sliced)) = (streamed, sliced) {
+                    prop_assert_eq!(streamed, sliced);
+                }
+                // Pure noise, header included.
+                let noise = ChunkedDecoder::new(&body[..]).and_then(|dec| drain(dec, 16));
+                prop_assert!(noise.is_err() || body.starts_with(MAGIC));
+            }
+
+            #[test]
+            fn chunked_decode_of_bit_flips_matches_slice_decode(
+                trace in vec(arb_record(), 1..80usize),
+                at in any::<u64>(),
+                bit in 0u8..8,
+            ) {
+                // A flipped bit may still decode (an unused flag bit, a
+                // different PC); the streamed path must then agree with
+                // the packed slice path (both keep only the fields the
+                // record's kind carries), and fail exactly when it fails.
+                let mut bytes = write_trace(&trace);
+                let at = (at % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << bit;
+                let streamed = ChunkedDecoder::new(ShortReads::new(&bytes, 9))
+                    .and_then(|dec| drain(dec, 16));
+                let sliced = read_trace_packed(&bytes).map(|t| t.to_records());
+                prop_assert_eq!(streamed.is_ok(), sliced.is_ok());
+                if let (Ok(streamed), Ok(sliced)) = (streamed, sliced) {
+                    prop_assert_eq!(streamed, sliced);
+                }
             }
 
             #[test]

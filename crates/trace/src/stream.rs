@@ -267,7 +267,9 @@ impl TraceStream for MaterializedStream<'_> {
 ///
 /// Propagates the first [`StreamError`] the stream reports.
 pub fn collect_stream<S: TraceStream>(stream: &mut S) -> Result<PackedTrace, StreamError> {
-    let mut builder = PackedTraceBuilder::with_capacity(stream.len());
+    // `len` may be an archived file's unchecked header count, so reserve
+    // one batch at most and let the records actually decoded drive growth.
+    let mut builder = PackedTraceBuilder::with_capacity(stream.len().min(stream.chunk_records()));
     while let Some(batch) = stream.next_batch()? {
         for rec in batch.iter() {
             builder.push(rec);
