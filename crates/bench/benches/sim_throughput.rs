@@ -2,9 +2,9 @@
 //! loop (`Simulator::with_policy` over `PolicyDispatch` +
 //! `run_columnar`), the multi-lane software-pipelined engine
 //! (`run_columnar_lanes`) at lane widths 2/4/8, and the factored engine
-//! (one shared front-end pass + 9 replay back-ends per benchmark,
-//! `run_factored_group`), per policy and over the whole (benchmark ×
-//! policy) matrix, in instructions per second.
+//! (one shared front-end pass + 9 replay back-ends per benchmark, timed
+//! through the production entry `run_policy_group`), per policy and over
+//! the whole (benchmark × policy) matrix, in instructions per second.
 //!
 //! Besides the Criterion lines, appends one JSON object to
 //! `BENCH_runner.json` at the workspace root (override with
@@ -27,7 +27,11 @@
 //! tracks host load (see EXPERIMENTS.md "Throughput trajectory noise").
 
 use chirp_bench::{lineup9, policy_label};
-use chirp_sim::{run_columnar_lanes, LaneUnit, PolicyKind, SimConfig, Simulator};
+use chirp_sim::{
+    group_sig_configs, run_columnar_lanes, run_policy_group, EventSegment, FrontEnd, LaneUnit,
+    PolicyKind, SimConfig, Simulator, StreamLayout,
+};
+use chirp_tlb::{ReplayHints, TlbReplacementPolicy};
 use chirp_trace::suite::{build_suite, BenchmarkSpec, SuiteConfig};
 use chirp_trace::PackedTrace;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -94,7 +98,8 @@ fn matrix_instr_per_sec(
 
 /// Instructions per second over the whole matrix through the factored
 /// engine: per benchmark, ONE front-end pass over the trace and one tiny
-/// replay back-end per policy (`run_factored_group` at lineup width 9).
+/// replay back-end per policy (`run_policy_group` at lineup width 9, the
+/// path suite runs and `chirp-serve` take).
 /// Best of `reps` sweeps, like [`matrix_instr_per_sec`]. The instruction
 /// denominator is the same matrix total, so the ratio to the sequential
 /// baseline is the lineup-level speedup of sharing the front end.
@@ -105,39 +110,42 @@ fn matrix_instr_per_sec_factored(
     reps: usize,
 ) -> f64 {
     let total: u64 = (suite.len() * policies.len()) as u64 * INSTRUCTIONS as u64;
-    let sig_config = chirp_sim::group_sig_config(policies.iter());
+    let kinds: Vec<&PolicyKind> = policies.iter().collect();
     let mut best = 0.0f64;
     for _ in 0..reps {
         let t0 = Instant::now();
         for (bench, trace) in suite {
-            let built: Vec<chirp_sim::PolicyDispatch> =
-                policies.iter().map(|p| p.build_dispatch(config.tlb.l2, bench.seed)).collect();
-            chirp_sim::run_factored_group(
-                config,
-                trace,
-                config.warmup_fraction,
-                &sig_config,
-                built,
-            );
+            run_policy_group(config, &kinds, bench.seed, trace, true);
         }
         best = best.max(total as f64 / t0.elapsed().as_secs_f64().max(1e-9));
     }
     best
 }
 
-/// Compactness of the front-end event stream: L2-TLB access + control
-/// events emitted per instruction, averaged over the suite. This is the
-/// number that makes the factored speedup legible — each back-end
-/// replays only this fraction of the work.
-fn frontend_events_per_instr(suite: &[(BenchmarkSpec, PackedTrace)], config: &SimConfig) -> f64 {
-    let sig_config = chirp_core::ChirpConfig::default();
+/// Compactness of the lineup's front-end event stream: L2-TLB access +
+/// control events emitted per instruction under the layout
+/// `run_policy_group` builds for `policies`, averaged over the suite.
+/// This is the number that makes the factored speedup legible — each
+/// back-end replays only this fraction of the work.
+fn frontend_events_per_instr(
+    suite: &[(BenchmarkSpec, PackedTrace)],
+    policies: &[PolicyKind],
+    config: &SimConfig,
+) -> f64 {
+    let hints: Vec<ReplayHints> =
+        policies.iter().map(|p| p.build_dispatch(config.tlb.l2, 0).replay_hints()).collect();
+    let layout = StreamLayout::for_group(&group_sig_configs(policies), &hints);
     let mut events = 0usize;
     let mut instructions = 0u64;
     for (_, trace) in suite {
-        let stream =
-            chirp_sim::FactoredTrace::build(config, trace, config.warmup_fraction, &sig_config);
-        events += stream.access_events() + stream.control_events();
-        instructions += stream.instructions();
+        let mut fe = FrontEnd::with_layout(config, &layout);
+        let mut seg = EventSegment::default();
+        for chunk in trace.chunks(4096) {
+            seg.clear();
+            fe.process_chunk(&chunk, &mut seg);
+            events += seg.access_events() + seg.control_events();
+            instructions += seg.instructions();
+        }
     }
     events as f64 / (instructions as f64).max(1.0)
 }
@@ -198,26 +206,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
     }
     // The whole 9-policy lineup as one factored group on the same trace:
     // throughput is per trace pass, so compare against 9× a columnar line.
-    let sig_config = chirp_sim::group_sig_config(policies.iter());
+    let kinds: Vec<&PolicyKind> = policies.iter().collect();
     group.bench_function("factored9/lineup", |b| {
-        b.iter_batched(
-            || {
-                policies
-                    .iter()
-                    .map(|p| p.build_dispatch(config.tlb.l2, bench0.seed))
-                    .collect::<Vec<_>>()
-            },
-            |built| {
-                chirp_sim::run_factored_group(
-                    &config,
-                    trace0,
-                    config.warmup_fraction,
-                    &sig_config,
-                    built,
-                )
-            },
-            BatchSize::LargeInput,
-        );
+        b.iter(|| run_policy_group(&config, &kinds, bench0.seed, trace0, true));
     });
     group.finish();
 
@@ -235,7 +226,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
     let lane_speedup = best / sweep[0].max(1e-9);
     let factored = matrix_instr_per_sec_factored(&suite, &policies, &config, reps);
     let factored_speedup = factored / sweep[0].max(1e-9);
-    let events_per_instr = frontend_events_per_instr(&suite, &config);
+    let events_per_instr = frontend_events_per_instr(&suite, &policies, &config);
     for (&lanes, ips) in LANES.iter().zip(&sweep) {
         println!("sim_throughput: lanes={lanes} {ips:.0} instr/s");
     }

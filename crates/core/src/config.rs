@@ -115,9 +115,9 @@ impl ChirpConfig {
     /// access/branch/mispredict sequences iff their codes match. Table
     /// geometry, counter width and thresholds are deliberately excluded —
     /// they consume signatures but do not alter them. A factored front
-    /// end stamps its event stream with this code; a `Chirp` back-end
-    /// only accepts precomputed signatures when the stream's code equals
-    /// its own (`TlbReplacementPolicy::replay_hints`).
+    /// end keys each precomputed signature column by this code; a `Chirp`
+    /// back-end reads the column whose code equals its own
+    /// (`TlbReplacementPolicy::replay_hints`).
     pub fn signature_code(&self) -> u64 {
         let mut code = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
         for field in [

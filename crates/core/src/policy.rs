@@ -229,23 +229,16 @@ impl TlbReplacementPolicy for Chirp {
         Some(self)
     }
 
-    /// When the stream's signature configuration matches this policy's
-    /// exactly ([`ChirpConfig::signature_code`]), the precomputed
-    /// signatures *are* what this policy's own registers would produce,
-    /// so replay can skip every control event: branches and wrong-path
-    /// pollution only matter through the signatures, which the front end
-    /// already folded in. Any mismatch falls back to running the local
-    /// registers, which need the full control stream.
-    fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-        if sig_code == self.config.signature_code() {
-            ReplayHints {
-                needs_branches: false,
-                needs_mispredicts: false,
-                accepts_signatures: true,
-            }
-        } else {
-            ReplayHints::conservative()
-        }
+    /// The signatures are a pure function of retired path and branch
+    /// history (§IV-B), so a stream's precomputed column under this
+    /// policy's configuration ([`ChirpConfig::signature_code`]) *is* what
+    /// its own registers would produce: branches and wrong-path pollution
+    /// only matter through the signatures, which the front end already
+    /// folded in. A stream without that column replays this policy
+    /// conservatively, running the local registers over every control
+    /// event.
+    fn replay_hints(&self) -> ReplayHints {
+        ReplayHints::signature(self.config.signature_code())
     }
 
     fn supply_signature(&mut self, sig: u16) {

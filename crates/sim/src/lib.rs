@@ -36,15 +36,15 @@ pub mod telemetry;
 pub use config::SimConfig;
 pub use engine::{run_stream_units, Simulator};
 pub use frontend::{
-    group_sig_config, replay_factored, run_factored_group, run_stream_factored, Backend,
-    EventSegment, FactoredTrace, FrontEnd,
+    group_sig_config, group_sig_configs, run_factored_group, run_stream_factored, Backend,
+    EventSegment, FactoredTrace, FrontEnd, StreamLayout,
 };
 pub use lanes::{run_columnar_lanes, run_columnar_lanes_outcomes, LaneUnit};
 pub use metrics::RunResult;
 pub use registry::{PolicyDispatch, PolicyKind};
 pub use runner::{
-    run_policy_group, run_suite, run_suite_cached, run_suite_streamed, BenchRun, CacheStats,
-    RunnerConfig, DEFAULT_STREAM_CHUNK,
+    run_policy_group, run_stream_policy_group, run_suite, run_suite_cached, run_suite_streamed,
+    BenchRun, CacheStats, RunnerConfig, DEFAULT_STREAM_CHUNK,
 };
 pub use sched::{last_scheduler_summary, SchedulerSummary};
 pub use telemetry::{

@@ -242,13 +242,18 @@ impl TlbReplacementPolicy for PolicyDispatch {
         dispatch!(self, p => p.storage())
     }
 
-    fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-        dispatch!(self, p => p.replay_hints(sig_code))
+    fn replay_hints(&self) -> ReplayHints {
+        dispatch!(self, p => p.replay_hints())
     }
 
     #[inline]
     fn supply_signature(&mut self, sig: u16) {
         dispatch!(self, p => p.supply_signature(sig))
+    }
+
+    #[inline]
+    fn supply_history(&mut self, word: u64) {
+        dispatch!(self, p => p.supply_history(word))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

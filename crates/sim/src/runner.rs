@@ -17,7 +17,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::{run_stream_units, Simulator};
-use crate::frontend::{group_sig_config, run_factored_group, run_stream_factored};
+use crate::frontend::{group_sig_configs, run_factored_group, run_stream_factored};
 use crate::lanes::{run_columnar_lanes, LaneUnit};
 use crate::metrics::RunResult;
 use crate::registry::{PolicyDispatch, PolicyKind};
@@ -242,11 +242,11 @@ fn simulate_group(
 /// Runs one same-trace group of policies, the primitive `simulate_group`
 /// and `chirp-serve` share. With `factored` set and more than one policy,
 /// the group runs as one front-end pass + per-policy replay back-ends
-/// ([`run_factored_group`]) — the signature stream is computed under the
-/// group's first CHiRP configuration ([`group_sig_config`]). Otherwise
-/// (or for a group of one, which has nothing to share) the policies run
-/// through the lane-interleaved columnar loop at the group's width.
-/// Results are bit-identical either way, in input order.
+/// ([`run_factored_group`]) — the front end records one signature column
+/// per distinct CHiRP configuration of the group ([`group_sig_configs`]).
+/// Otherwise (or for a group of one, which has nothing to share) the
+/// policies run through the lane-interleaved columnar loop at the
+/// group's width. Results are bit-identical either way, in input order.
 pub fn run_policy_group(
     sim: &SimConfig,
     kinds: &[&PolicyKind],
@@ -256,9 +256,9 @@ pub fn run_policy_group(
 ) -> Vec<RunResult> {
     let build = |kind: &PolicyKind| -> PolicyDispatch { kind.build_dispatch(sim.tlb.l2, seed) };
     if factored && kinds.len() > 1 {
-        let sig_config = group_sig_config(kinds.iter().copied());
+        let sig_configs = group_sig_configs(kinds.iter().copied());
         let policies: Vec<PolicyDispatch> = kinds.iter().map(|k| build(k)).collect();
-        run_factored_group(sim, trace, sim.warmup_fraction, &sig_config, policies)
+        run_factored_group(sim, trace, sim.warmup_fraction, &sig_configs, policies)
             .into_iter()
             .map(|(result, _)| result)
             .collect()
@@ -271,6 +271,35 @@ pub fn run_policy_group(
             .collect();
         let lanes = units.len();
         run_columnar_lanes(units, lanes)
+    }
+}
+
+/// The streamed form of [`run_policy_group`]: one pass over `stream` for
+/// every policy of the group, factored ([`run_stream_factored`]) when
+/// `factored` is set and the group has more than one policy, else
+/// lockstep simulators ([`run_stream_units`]). Results are bit-identical
+/// either way, in input order.
+///
+/// # Errors
+///
+/// Propagates the stream's first error.
+pub fn run_stream_policy_group(
+    sim: &SimConfig,
+    kinds: &[&PolicyKind],
+    seed: u64,
+    stream: &mut dyn chirp_trace::TraceStream,
+    factored: bool,
+) -> Result<Vec<RunResult>, chirp_trace::StreamError> {
+    let build = |kind: &PolicyKind| -> PolicyDispatch { kind.build_dispatch(sim.tlb.l2, seed) };
+    if factored && kinds.len() > 1 {
+        let sig_configs = group_sig_configs(kinds.iter().copied());
+        let policies: Vec<PolicyDispatch> = kinds.iter().map(|k| build(k)).collect();
+        run_stream_factored(sim, &sig_configs, policies, stream, sim.warmup_fraction)
+            .map(|outcomes| outcomes.into_iter().map(|(result, _)| result).collect())
+    } else {
+        let mut sims: Vec<Simulator<PolicyDispatch>> =
+            kinds.iter().map(|k| Simulator::with_policy(sim, build(k))).collect();
+        run_stream_units(&mut sims, stream, sim.warmup_fraction)
     }
 }
 
@@ -491,27 +520,9 @@ fn stream_one_item(
     // (shared front end + replay back-ends) when the group is wide enough
     // and enabled, else the legacy lockstep simulators. Bit-identical
     // either way (`tests/equivalence_matrix.rs`).
-    let run_item = |stream: &mut dyn chirp_trace::TraceStream| -> Result<Vec<RunResult>, chirp_trace::StreamError> {
-        if config.factored && item.policies.len() > 1 {
-            let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
-            let sig_config = group_sig_config(kinds.iter().copied());
-            let built: Vec<PolicyDispatch> =
-                kinds.iter().map(|k| k.build_dispatch(config.sim.tlb.l2, bench.seed)).collect();
-            run_stream_factored(&config.sim, &sig_config, built, stream, config.sim.warmup_fraction)
-                .map(|outcomes| outcomes.into_iter().map(|(result, _)| result).collect())
-        } else {
-            let mut sims: Vec<Simulator<PolicyDispatch>> = item
-                .policies
-                .iter()
-                .map(|&pi| {
-                    Simulator::with_policy(
-                        &config.sim,
-                        policies[pi].build_dispatch(config.sim.tlb.l2, bench.seed),
-                    )
-                })
-                .collect();
-            run_stream_units(&mut sims, stream, config.sim.warmup_fraction)
-        }
+    let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
+    let run_item = |stream: &mut dyn chirp_trace::TraceStream| {
+        run_stream_policy_group(&config.sim, &kinds, bench.seed, stream, config.factored)
     };
     let wrap = |results: Vec<RunResult>| -> Vec<BenchRun> {
         results

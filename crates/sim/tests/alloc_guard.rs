@@ -1,4 +1,5 @@
-//! Zero-allocation guard for the monomorphized columnar hot loop.
+//! Zero-allocation guards for the monomorphized columnar hot loop, the
+//! factored back-end replay and the factored group driver.
 //!
 //! A counting global allocator wraps the system allocator; the test then
 //! measures `Simulator::run_columnar` on a short and a long trace with the
@@ -125,12 +126,12 @@ fn lane_engine_does_not_allocate_per_instruction() {
     );
 }
 
-/// Allocation count of replaying a prebuilt front-end event stream
-/// through all 9 policy back-ends (`chirp_sim::replay_factored`). The
-/// stream and the trace are built outside the measured window; backend
-/// construction, the per-segment control cursors and the policy-name
-/// `String`s in the results are per-run constants appearing in both
-/// counts.
+/// Allocation count of replaying a prebuilt one-configuration event
+/// stream through all 9 policy back-ends (`Backend::replay` over both
+/// segments of a `FactoredTrace`). The stream and the trace are built
+/// outside the measured window; backend construction and the
+/// policy-name `String`s in the results are per-run constants appearing
+/// in both counts.
 fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
     let suite = build_suite(&SuiteConfig { benchmarks: 1 });
     let trace = suite[0].generate_packed(instructions);
@@ -140,9 +141,18 @@ fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
         chirp_sim::FactoredTrace::build(config, &trace, config.warmup_fraction, &sig_config);
     let built: Vec<_> = policies.iter().map(|p| p.build_dispatch(config.tlb.l2, 7)).collect();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let outcomes = chirp_sim::replay_factored(config, &stream, built);
+    let results: Vec<_> = built
+        .into_iter()
+        .map(|policy| {
+            let mut backend = chirp_sim::Backend::new(config, policy, stream.sig_code);
+            backend.replay(&stream.warmup);
+            let window = backend.window_start();
+            backend.replay(&stream.measured);
+            backend.finish_result(window)
+        })
+        .collect();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(outcomes.len(), 9);
+    assert_eq!(results.len(), 9);
     after - before
 }
 
@@ -159,5 +169,37 @@ fn factored_replay_does_not_allocate_per_instruction() {
         long, short,
         "factored replay allocates per instruction: {short} allocations over 4k instructions \
          vs {long} over 40k"
+    );
+}
+
+/// Allocation count of one `run_policy_group` call over lineup9 — the
+/// chunk driver end to end: policy and group construction, the front
+/// end, the segment it reuses, every chunk's front-end pass and replay,
+/// and the results. Only the trace is built outside the window.
+fn allocs_for_policy_group(config: &SimConfig, instructions: usize) -> u64 {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let trace = suite[0].generate_packed(instructions);
+    let policies = lineup9();
+    let kinds: Vec<&PolicyKind> = policies.iter().collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let results = chirp_sim::run_policy_group(config, &kinds, suite[0].seed, &trace, true);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(results.len(), 9);
+    after - before
+}
+
+/// The group driver allocates once per group, never per chunk: 400K
+/// instructions (about a hundred chunks) may not add a single
+/// allocation over 40K (ten).
+#[test]
+fn policy_group_allocates_per_group_not_per_chunk() {
+    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let config = SimConfig::default();
+    let short = allocs_for_policy_group(&config, 40_000);
+    let long = allocs_for_policy_group(&config, 400_000);
+    assert_eq!(
+        long, short,
+        "run_policy_group allocates per chunk: {short} allocations over 40k instructions \
+         vs {long} over 400k"
     );
 }

@@ -16,18 +16,30 @@
 //!    signature-config mismatches and wrong-path-pollution
 //!    configurations — plus the policy-invariance gate: the front-end
 //!    event stream is byte-identical no matter which policy (if any)
-//!    consumes it.
+//!    consumes it. The group-aware layer runs lineup9 through the
+//!    production entries (`run_policy_group`, `run_stream_policy_group`),
+//!    pins that the lineup's front end emits no control events, that a
+//!    group holding a conservative-hint policy still replays exactly,
+//!    and that history policies fed `supply_history` decide exactly as
+//!    when fed `on_branch`.
 //! 3. **Legacy shim** (behind the `legacy-dyn` feature): the retired
 //!    dynamic-dispatch path (`Simulator::new` over
 //!    `Box<dyn TlbReplacementPolicy>` + per-record `run`) must agree
 //!    with the monomorphized columnar path — run via
 //!    `cargo test --features legacy-dyn` (CI does) to prove the shim.
 
-use chirp_core::{Chirp, ChirpConfig};
-use chirp_sim::{run_columnar_lanes, LaneUnit, PolicyKind, RunResult, SimConfig, Simulator};
-use chirp_tlb::{TlbReplacementPolicy, TlbStats};
+use chirp_core::{Chirp, ChirpConfig, PredictionTable};
+use chirp_sim::{
+    run_columnar_lanes, EventSegment, FrontEnd, LaneUnit, PolicyKind, RunResult, SimConfig,
+    Simulator, StreamLayout,
+};
+use chirp_tlb::policies::{Ghrp, GhrpConfig, PerceptronConfig, PerceptronReuse};
+use chirp_tlb::{
+    L2Tlb, PolicyStorage, ReplayHints, TlbAccess, TlbGeometry, TlbReplacementPolicy, TlbStats,
+    TranslationKind,
+};
 use chirp_trace::suite::{build_suite, SuiteConfig};
-use chirp_trace::PackedTrace;
+use chirp_trace::{BranchClass, PackedTrace};
 use proptest::prelude::*;
 
 const INSTRUCTIONS: usize = 30_000;
@@ -47,19 +59,23 @@ fn lineup9() -> Vec<PolicyKind> {
 struct PathOutcome {
     result: RunResult,
     stats_total: TlbStats,
-    chirp: Option<chirp_core::policy::ChirpCounters>,
+    /// CHiRP's counters and whole prediction table: every counter it
+    /// trained sits at an index derived from a signature, so any signature
+    /// that differs anywhere in the run shows up here.
+    chirp: Option<(chirp_core::policy::ChirpCounters, PredictionTable)>,
 }
 
-fn outcome_of(sim: Simulator<chirp_sim::PolicyDispatch>, result: RunResult) -> PathOutcome {
-    let stats_total = sim.tlbs().l2().stats();
-    let chirp = sim
-        .tlbs()
-        .l2()
+fn l2_outcome<P: TlbReplacementPolicy>(result: RunResult, l2: &L2Tlb<P>) -> PathOutcome {
+    let chirp = l2
         .policy()
         .as_any()
         .and_then(|a| a.downcast_ref::<Chirp>())
-        .map(|c| c.counters());
-    PathOutcome { result, stats_total, chirp }
+        .map(|c| (c.counters(), c.table().clone()));
+    PathOutcome { result, stats_total: l2.stats(), chirp }
+}
+
+fn outcome_of(sim: Simulator<chirp_sim::PolicyDispatch>, result: RunResult) -> PathOutcome {
+    l2_outcome(result, sim.tlbs().l2())
 }
 
 fn columnar_path(
@@ -315,34 +331,40 @@ proptest! {
 
 /// One factored group: shared front end + per-policy replay back-ends
 /// over a materialized trace, each unit's outcome (result, L2 totals,
-/// CHiRP counters) in input order.
+/// CHiRP counters) in input order. The front end records a signature
+/// column for each of `sig_configs`.
+fn factored_group_path_with(
+    policies: &[PolicyKind],
+    config: &SimConfig,
+    trace: &PackedTrace,
+    seed: u64,
+    sig_configs: &[ChirpConfig],
+) -> Vec<PathOutcome> {
+    let built: Vec<chirp_sim::PolicyDispatch> =
+        policies.iter().map(|p| p.build_dispatch(config.tlb.l2, seed)).collect();
+    chirp_sim::run_factored_group(config, trace, config.warmup_fraction, sig_configs, built)
+        .into_iter()
+        .map(|(result, backend)| backend_outcome(result, &backend))
+        .collect()
+}
+
+/// [`factored_group_path_with`] under the group's own signature columns,
+/// as `run_policy_group` builds them.
 fn factored_group_path(
     policies: &[PolicyKind],
     config: &SimConfig,
     trace: &PackedTrace,
     seed: u64,
 ) -> Vec<PathOutcome> {
-    let sig_config = chirp_sim::group_sig_config(policies.iter());
-    let built: Vec<chirp_sim::PolicyDispatch> =
-        policies.iter().map(|p| p.build_dispatch(config.tlb.l2, seed)).collect();
-    chirp_sim::run_factored_group(config, trace, config.warmup_fraction, &sig_config, built)
-        .into_iter()
-        .map(|(result, backend)| backend_outcome(result, &backend))
-        .collect()
+    let sig_configs = chirp_sim::group_sig_configs(policies.iter());
+    factored_group_path_with(policies, config, trace, seed, &sig_configs)
 }
 
-fn backend_outcome(
+fn backend_outcome<P: TlbReplacementPolicy>(
     result: RunResult,
-    backend: &chirp_sim::Backend<chirp_sim::PolicyDispatch>,
+    backend: &chirp_sim::Backend<P>,
 ) -> PathOutcome {
-    let stats_total = backend.l2().stats();
-    let chirp = backend
-        .l2()
-        .policy()
-        .as_any()
-        .and_then(|a| a.downcast_ref::<Chirp>())
-        .map(|c| c.counters());
-    PathOutcome { result, stats_total, chirp }
+    l2_outcome(result, backend.l2())
 }
 
 /// The factored gate: the whole 9-policy lineup as one group (one front
@@ -378,25 +400,29 @@ fn factored_engine_matches_sequential_for_every_policy_and_benchmark() {
 
 /// Signature-config corner cases: a group whose stream is computed under
 /// a wrong-path-pollution configuration (front end must fold the pseudo
-/// wrong-path events), containing a second CHiRP whose signature code
-/// does NOT match (must fall back to its local registers) plus policies
-/// needing branches and needing nothing.
+/// wrong-path events) next to a second CHiRP configuration, plus
+/// history-column policies and policies needing nothing. Each group runs
+/// twice: with a signature column per configuration, and with only the
+/// first configuration's column, so a CHiRP whose code has no column
+/// must fall back to its local registers over the control events.
 #[test]
 fn factored_engine_handles_pollution_and_mismatched_signature_configs() {
     let suite = build_suite(&SuiteConfig { benchmarks: 2 });
     let config = SimConfig::default();
     let polluted = ChirpConfig { wrong_path_pollution: 3, ..ChirpConfig::default() };
     let groups: Vec<Vec<PolicyKind>> = vec![
-        // Polluted CHiRP first: the stream carries polluted signatures;
-        // the default-config CHiRP must reject them and self-compute.
+        // Polluted CHiRP first: the single-column stream carries
+        // polluted signatures; the default-config CHiRP must then
+        // reject them and self-compute.
         vec![
             PolicyKind::Chirp(polluted),
             PolicyKind::Chirp(ChirpConfig::default()),
             PolicyKind::Ghrp,
             PolicyKind::Lru,
         ],
-        // No CHiRP at all: stream signatures are computed under the
-        // default config and nobody consumes them.
+        // No CHiRP at all: the group layout has no signature column; the
+        // single-column stream computes default-config signatures that
+        // nobody consumes.
         vec![PolicyKind::Ghrp, PolicyKind::PerceptronReuse, PolicyKind::Srrip],
         // Only the short-history CHiRP: its own config drives the stream.
         vec![
@@ -407,17 +433,24 @@ fn factored_engine_handles_pollution_and_mismatched_signature_configs() {
     for bench in &suite {
         let trace = bench.generate_packed(INSTRUCTIONS);
         for group in &groups {
-            let got = factored_group_path(group, &config, &trace, bench.seed);
-            for (policy, outcome) in group.iter().zip(got) {
-                let want = columnar_path(policy, &config, &trace, bench.seed);
-                assert_eq!(
-                    outcome,
-                    want,
-                    "factored diverged: {} on {} in group {:?}",
-                    policy.name(),
-                    bench.name,
-                    group.iter().map(PolicyKind::name).collect::<Vec<_>>()
-                );
+            let columns = [
+                chirp_sim::group_sig_configs(group.iter()),
+                vec![chirp_sim::group_sig_config(group.iter())],
+            ];
+            for sig_configs in &columns {
+                let got = factored_group_path_with(group, &config, &trace, bench.seed, sig_configs);
+                for (policy, outcome) in group.iter().zip(got) {
+                    let want = columnar_path(policy, &config, &trace, bench.seed);
+                    assert_eq!(
+                        outcome,
+                        want,
+                        "factored diverged: {} on {} in group {:?} with {} signature columns",
+                        policy.name(),
+                        bench.name,
+                        group.iter().map(PolicyKind::name).collect::<Vec<_>>(),
+                        sig_configs.len()
+                    );
+                }
             }
         }
     }
@@ -457,13 +490,13 @@ fn factored_stream_matches_materialized_for_every_policy() {
         let wants: Vec<PathOutcome> =
             policies.iter().map(|p| columnar_path(p, &config, &trace, bench.seed)).collect();
         for chunk in [977, 4_096, INSTRUCTIONS + 1] {
-            let sig_config = chirp_sim::group_sig_config(policies.iter());
+            let sig_configs = chirp_sim::group_sig_configs(policies.iter());
             let built: Vec<chirp_sim::PolicyDispatch> =
                 policies.iter().map(|p| p.build_dispatch(config.tlb.l2, bench.seed)).collect();
             let mut stream = bench.stream(INSTRUCTIONS, chunk);
             let got = chirp_sim::run_stream_factored(
                 &config,
-                &sig_config,
+                &sig_configs,
                 built,
                 &mut stream,
                 config.warmup_fraction,
@@ -534,8 +567,10 @@ proptest! {
         // Replay through every policy in the lineup (and through nobody),
         // rebuilding the stream after each: the bytes never change.
         for policy in &lineup9() {
-            let built = vec![policy.build_dispatch(config.tlb.l2, bench.seed)];
-            let _ = chirp_sim::replay_factored(&config, &stream, built);
+            let built = policy.build_dispatch(config.tlb.l2, bench.seed);
+            let mut backend = chirp_sim::Backend::new(&config, built, stream.sig_code);
+            backend.replay(&stream.warmup);
+            backend.replay(&stream.measured);
             let rebuilt = chirp_sim::FactoredTrace::build(&config, &trace, warmup, &sig_config);
             prop_assert_eq!(
                 rebuilt.wire_bytes(), bytes.clone(),
@@ -555,6 +590,284 @@ proptest! {
     }
 }
 
+/// A test-only policy that forwards every callback to the wrapped policy
+/// but keeps the trait's conservative default [`ReplayHints`]: it names
+/// no column, so a group containing it makes the front end emit control
+/// events and its back-end walks them.
+struct Conservative<P>(P);
+
+impl<P: TlbReplacementPolicy> TlbReplacementPolicy for Conservative<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn choose_victim(&mut self, acc: &TlbAccess) -> usize {
+        self.0.choose_victim(acc)
+    }
+
+    fn on_hit(&mut self, acc: &TlbAccess, way: usize) {
+        self.0.on_hit(acc, way)
+    }
+
+    fn on_fill(&mut self, acc: &TlbAccess, way: usize) {
+        self.0.on_fill(acc, way)
+    }
+
+    fn on_evict(&mut self, set: usize, way: usize) {
+        self.0.on_evict(set, way)
+    }
+
+    fn on_branch(&mut self, pc: u64, class: BranchClass, taken: bool) {
+        self.0.on_branch(pc, class, taken)
+    }
+
+    fn on_mispredict(&mut self, pc: u64) {
+        self.0.on_mispredict(pc)
+    }
+
+    fn prediction_table_accesses(&self) -> u64 {
+        self.0.prediction_table_accesses()
+    }
+
+    fn dead_eviction_count(&self) -> u64 {
+        self.0.dead_eviction_count()
+    }
+
+    fn storage(&self) -> PolicyStorage {
+        self.0.storage()
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        self.0.as_any()
+    }
+}
+
+/// The group-aware production path: lineup9 through `run_policy_group`
+/// and through the streamed runner's `run_stream_policy_group`, on every
+/// suite benchmark, at warmup 0, a mid-chunk cut and warmup 1.0, and at
+/// stream chunk sizes that do not divide the trace, the front-end chunk
+/// itself and a single-batch stream: every policy's result is
+/// bit-identical to its sequential `run_columnar`.
+#[test]
+fn group_runner_paths_match_columnar_for_lineup9() {
+    let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
+    let policies = lineup9();
+    let kinds: Vec<&PolicyKind> = policies.iter().collect();
+    for bench in &suite {
+        let trace = bench.generate_packed(INSTRUCTIONS);
+        for warmup in [0.0, 0.1337, 1.0] {
+            let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
+            let wants: Vec<RunResult> = policies
+                .iter()
+                .map(|p| columnar_path(p, &config, &trace, bench.seed).result)
+                .collect();
+            let got = chirp_sim::run_policy_group(&config, &kinds, bench.seed, &trace, true);
+            assert_eq!(
+                got, wants,
+                "run_policy_group diverged on {} at warmup {warmup}",
+                bench.name
+            );
+            for chunk in [977, 4_096, INSTRUCTIONS + 1] {
+                let mut stream = bench.stream(INSTRUCTIONS, chunk);
+                let got = chirp_sim::run_stream_policy_group(
+                    &config,
+                    &kinds,
+                    bench.seed,
+                    &mut stream,
+                    true,
+                )
+                .expect("generator stream");
+                assert_eq!(
+                    got, wants,
+                    "streamed group diverged on {} at warmup {warmup}, chunk {chunk}",
+                    bench.name
+                );
+            }
+        }
+    }
+}
+
+/// The lineup's group layout reads every control-flow history from
+/// columns, so its front end emits access events and no control events;
+/// the one-configuration front end over the same trace still emits them.
+#[test]
+fn lineup9_front_end_emits_no_control_events() {
+    let config = SimConfig::default();
+    let policies = lineup9();
+    let hints: Vec<ReplayHints> =
+        policies.iter().map(|p| p.build_dispatch(config.tlb.l2, 0).replay_hints()).collect();
+    let layout = StreamLayout::for_group(&chirp_sim::group_sig_configs(policies.iter()), &hints);
+    assert!(!layout.emits_control(), "no lineup9 policy keeps the conservative hints");
+    let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
+    for bench in &suite {
+        let trace = bench.generate_packed(INSTRUCTIONS);
+        let mut group = FrontEnd::with_layout(&config, &layout);
+        let mut single = FrontEnd::new(&config, &chirp_sim::group_sig_config(policies.iter()));
+        let (mut access, mut control, mut single_control) = (0, 0, 0);
+        for chunk in trace.chunks(4_096) {
+            let mut seg = EventSegment::default();
+            group.process_chunk(&chunk, &mut seg);
+            access += seg.access_events();
+            control += seg.control_events();
+            seg.clear();
+            single.process_chunk(&chunk, &mut seg);
+            single_control += seg.control_events();
+        }
+        assert!(access > 0, "{} reaches the L2 TLB", bench.name);
+        assert_eq!(control, 0, "lineup9 front end emitted control events on {}", bench.name);
+        assert!(single_control > 0, "one-config front end must keep control events");
+    }
+}
+
+/// Small tables and low dead thresholds: GHRP's and perceptron reuse's
+/// predictions then flip with any change to the history word they read.
+fn sensitive_history_policy(ghrp: bool, geometry: TlbGeometry) -> Box<dyn TlbReplacementPolicy> {
+    if ghrp {
+        Box::new(Ghrp::new(geometry, GhrpConfig { table_bits: 6, dead_threshold: 1 }))
+    } else {
+        let config = PerceptronConfig { table_bits: 6, theta: 14, dead_threshold: 0 };
+        Box::new(PerceptronReuse::new(geometry, config))
+    }
+}
+
+/// A group holding policies that keep the conservative default hints
+/// (GHRP, CHiRP and history-sensitive GHRP/perceptron variants) next to
+/// column readers, including the same variants unwrapped: its layout
+/// emits control events, the conservative back-ends walk them, and every
+/// unit still replays bit-identically to `run_columnar` of the same
+/// policy. A 64-entry L2 keeps sets full, so victim choice (and with it
+/// every dead prediction) decides hits.
+#[test]
+fn group_with_conservative_policy_replays_exactly() {
+    type Factory = Box<dyn Fn(&SimConfig, u64) -> Box<dyn TlbReplacementPolicy>>;
+    let suite = build_suite(&SuiteConfig { benchmarks: 2 });
+    let mut members: Vec<(String, Factory)> = Vec::new();
+    for kind in lineup9() {
+        let wrap = kind == PolicyKind::Ghrp || kind == PolicyKind::Chirp(ChirpConfig::default());
+        let label = format!("{kind:?}{}", if wrap { " (conservative)" } else { "" });
+        members.push((
+            label,
+            Box::new(move |config, seed| {
+                let policy = kind.build_dispatch(config.tlb.l2, seed);
+                if wrap {
+                    Box::new(Conservative(policy))
+                } else {
+                    Box::new(policy)
+                }
+            }),
+        ));
+    }
+    for ghrp in [true, false] {
+        members.push((
+            format!("sensitive ghrp={ghrp}"),
+            Box::new(move |config, _| sensitive_history_policy(ghrp, config.tlb.l2)),
+        ));
+        members.push((
+            format!("sensitive ghrp={ghrp} (conservative)"),
+            Box::new(move |config, _| {
+                let inner = sensitive_history_policy(ghrp, config.tlb.l2);
+                Box::new(Conservative(inner))
+            }),
+        ));
+    }
+    let sig_configs = chirp_sim::group_sig_configs(lineup9().iter());
+    for warmup in [0.0, 0.1337] {
+        let mut config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
+        config.tlb.l2 = TlbGeometry { entries: 64, ways: 4 };
+        for bench in &suite {
+            let trace = bench.generate_packed(INSTRUCTIONS);
+            let built: Vec<Box<dyn TlbReplacementPolicy>> =
+                members.iter().map(|(_, make)| make(&config, bench.seed)).collect();
+            let hints: Vec<ReplayHints> = built.iter().map(|p| p.replay_hints()).collect();
+            assert!(StreamLayout::for_group(&sig_configs, &hints).emits_control());
+            let got = chirp_sim::run_factored_group(
+                &config,
+                &trace,
+                config.warmup_fraction,
+                &sig_configs,
+                built,
+            );
+            for ((label, make), (result, backend)) in members.iter().zip(got) {
+                let mut sim = Simulator::with_policy(&config, make(&config, bench.seed));
+                let want = sim.run_columnar(&trace, config.warmup_fraction);
+                assert_eq!(
+                    backend_outcome(result, &backend),
+                    l2_outcome(want, sim.tlbs().l2()),
+                    "{label} diverged on {} at warmup {warmup}",
+                    bench.name
+                );
+            }
+        }
+    }
+}
+
+/// One random control-flow/access event for the history-column proptest.
+#[derive(Debug, Clone)]
+enum HistEvent {
+    Branch { pc: u64, class: BranchClass, taken: bool },
+    Access { pc: u64, vpn: u64 },
+}
+
+fn hist_event() -> impl Strategy<Value = HistEvent> {
+    prop_oneof![
+        (any::<u32>(), 0u8..3, any::<bool>()).prop_map(|(pc, c, taken)| HistEvent::Branch {
+            pc: u64::from(pc),
+            class: match c {
+                0 => BranchClass::Conditional,
+                1 => BranchClass::UnconditionalIndirect,
+                _ => BranchClass::UnconditionalDirect,
+            },
+            taken,
+        }),
+        (any::<u32>(), 0u64..96).prop_map(|(pc, vpn)| HistEvent::Access { pc: u64::from(pc), vpn }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A history policy driven by `on_branch` and one driven by
+    /// `supply_history` with the word its named column folds make the
+    /// same decision on every access: same hit/miss, way, victim and
+    /// dead prediction, and the same final statistics and table traffic.
+    /// The policies are [`sensitive_history_policy`] variants.
+    #[test]
+    fn supplied_history_matches_on_branch(
+        ghrp in any::<bool>(),
+        events in proptest::collection::vec(hist_event(), 1..600),
+    ) {
+        let geometry = TlbGeometry { entries: 64, ways: 4 };
+        let mut driven = L2Tlb::new(geometry, sensitive_history_policy(ghrp, geometry));
+        let mut supplied = L2Tlb::new(geometry, sensitive_history_policy(ghrp, geometry));
+        let column = supplied.policy().replay_hints().history.expect("reads a history column");
+        let mut word = 0u64;
+        for event in &events {
+            match *event {
+                HistEvent::Branch { pc, class, taken } => {
+                    driven.on_branch(pc, class, taken);
+                    word = column.fold(word, pc, class, taken);
+                }
+                HistEvent::Access { pc, vpn } => {
+                    let want = driven.access(pc, vpn, TranslationKind::Data);
+                    supplied.supply_history(word);
+                    let got = supplied.access(pc, vpn, TranslationKind::Data);
+                    prop_assert_eq!(got, want);
+                    let set = geometry.set_of(vpn);
+                    prop_assert_eq!(
+                        supplied.policy().predicts_dead(set, got.way),
+                        driven.policy().predicts_dead(set, want.way)
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(supplied.stats(), driven.stats());
+        prop_assert_eq!(
+            supplied.policy().prediction_table_accesses(),
+            driven.policy().prediction_table_accesses()
+        );
+    }
+}
+
 /// The retired dynamic-dispatch path must still agree with the columnar
 /// path while the `legacy-dyn` shim exists.
 #[cfg(feature = "legacy-dyn")]
@@ -569,15 +882,7 @@ mod legacy_shim {
     ) -> PathOutcome {
         let mut sim = Simulator::new(config, policy.build(config.tlb.l2, seed));
         let result = sim.run(trace, config.warmup_fraction);
-        let stats_total = sim.tlbs().l2().stats();
-        let chirp = sim
-            .tlbs()
-            .l2()
-            .policy()
-            .as_any()
-            .and_then(|a| a.downcast_ref::<Chirp>())
-            .map(|c| c.counters());
-        PathOutcome { result, stats_total, chirp }
+        l2_outcome(result, sim.tlbs().l2())
     }
 
     #[test]

@@ -340,12 +340,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one step: the
+            // input is a `&str` and both delimiters are ASCII, so the run
+            // is whole UTF-8 scalars and each byte is checked once.
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| JsonError::Syntax(start))?,
+            );
             match self.peek().ok_or(JsonError::Eof)? {
                 b'"' => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                _ => {
                     self.pos += 1;
                     let esc = self.peek().ok_or(JsonError::Eof)?;
                     self.pos += 1;
@@ -358,13 +369,15 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let end = self.pos.checked_add(4).ok_or(JsonError::Eof)?;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or(JsonError::Eof)?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::Syntax(self.pos))?;
+                            let hex = self.bytes.get(self.pos..end).ok_or(JsonError::Eof)?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(JsonError::Syntax(self.pos));
+                            }
+                            let code = hex.iter().fold(0u32, |acc, &h| {
+                                acc * 16 + (h as char).to_digit(16).unwrap_or(0)
+                            });
                             // Surrogate pairs never occur in store output
                             // (only control characters are \u-escaped).
                             out.push(char::from_u32(code).ok_or(JsonError::Syntax(self.pos))?);
@@ -372,14 +385,6 @@ impl Parser<'_> {
                         }
                         _ => return Err(JsonError::Syntax(self.pos - 1)),
                     }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::Syntax(self.pos))?;
-                    let c = rest.chars().next().ok_or(JsonError::Eof)?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -469,5 +474,91 @@ mod tests {
         assert_eq!(obj.f64_field("b"), Some(1000.0));
         assert_eq!(obj.f64_field("c"), Some(-4.0));
         assert_eq!(obj.u64_field("c"), None);
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        let obj = JsonObject::parse("{\"s\":\"\\u0041\\u00e9\"}").unwrap();
+        assert_eq!(obj.str_field("s"), Some("Aé"));
+        for bad in ["\\u+041", "\\u-041", "\\u 041", "\\u00g1", "\\u004"] {
+            let line = format!("{{\"s\":\"{bad}\"}}");
+            assert!(JsonObject::parse(&line).is_err(), "{line} must not parse");
+        }
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string() {
+        let long = "é".repeat(1 << 19) + &"x\\n".repeat(1 << 10);
+        let line = format!("{{\"s\":\"{long}\",\"n\":1}}");
+        assert!(line.len() > 1 << 20);
+        let obj = JsonObject::parse(&line).unwrap();
+        let s = obj.str_field("s").unwrap();
+        assert_eq!(s.chars().count(), (1 << 19) + 2 * (1 << 10));
+        assert!(s.ends_with("x\n"));
+        assert_eq!(obj.u64_field("n"), Some(1));
+    }
+
+    /// Parses `text` both ways; the property is only that neither panics.
+    fn parse_both(text: &str) {
+        let _ = JsonObject::parse(text);
+        let _ = JsonObject::parse_flatten(text);
+    }
+
+    fn ledger_line() -> String {
+        let mut obj = JsonObject::new();
+        obj.set_str("benchmark", "db.scanidx#s1 \"é\" \u{1}\\")
+            .set_u64("instructions", 500_000)
+            .set_f64("efficiency", 0.4375)
+            .set_bool("ok", true)
+            .set_str("key", "00ff00ff00ff00ff");
+        obj.to_json()
+    }
+
+    mod props {
+        use super::{ledger_line, parse_both};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary bytes, and arbitrary picks from the JSON
+            /// alphabet, never panic the parser.
+            #[test]
+            fn random_input_never_panics(
+                bytes in proptest::collection::vec(any::<u8>(), 0..200),
+                picks in proptest::collection::vec(0usize..24, 0..200),
+            ) {
+                parse_both(&String::from_utf8_lossy(&bytes));
+                const ALPHABET: [&str; 24] = [
+                    "{", "}", "\"", ":", ",", "\\", "u", "0", "9", "a", "f", "+", "-", ".", "e",
+                    "true", "false", "null", "[", " ", "é", "\\u", "{\"k\":", "\u{1}",
+                ];
+                let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+                parse_both(&text);
+            }
+
+            /// Single bit flips of a valid ledger line never panic.
+            #[test]
+            fn bit_flips_never_panic(at in 0usize..4096, bit in 0u8..8) {
+                let mut bytes = ledger_line().into_bytes();
+                let at = at % bytes.len();
+                bytes[at] ^= 1 << bit;
+                parse_both(&String::from_utf8_lossy(&bytes));
+            }
+        }
+
+        /// A valid line cut at every byte parses only when whole, and
+        /// never panics.
+        #[test]
+        fn truncated_lines_never_panic() {
+            let line = ledger_line();
+            for cut in 0..line.len() {
+                if let Some(prefix) = line.get(..cut) {
+                    parse_both(prefix);
+                    assert!(super::JsonObject::parse(prefix).is_err(), "prefix {cut} parsed");
+                }
+            }
+            assert!(super::JsonObject::parse(&line).is_ok());
+        }
     }
 }

@@ -39,7 +39,7 @@ pub mod types;
 pub mod walker;
 
 pub use hierarchy::{L1FrontEnd, TlbHierarchy, TlbHierarchyConfig, Translation};
-pub use policy::{PolicyStorage, ReplayHints, TlbReplacementPolicy};
+pub use policy::{HistoryColumn, PolicyStorage, ReplayHints, TlbReplacementPolicy};
 pub use stats::{DeadOutcomes, TlbStats};
 pub use tlb::{AccessOutcome, L2Tlb};
 pub use types::{TlbAccess, TlbGeometry, TranslationKind};

@@ -122,7 +122,7 @@ impl TlbReplacementPolicy for Drrip {
 
     /// Keeps no branch history and consumes no signatures: replay can
     /// drop every control event.
-    fn replay_hints(&self, _sig_code: u64) -> crate::policy::ReplayHints {
+    fn replay_hints(&self) -> crate::policy::ReplayHints {
         crate::policy::ReplayHints::none()
     }
 

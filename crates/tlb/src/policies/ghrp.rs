@@ -14,7 +14,7 @@
 //! CHiRP (Figure 11), and its outcome-heavy history is what limits its
 //! accuracy on TLB reuse (paper §III).
 
-use crate::policy::{PolicyStorage, TlbReplacementPolicy};
+use crate::policy::{HistoryColumn, PolicyStorage, ReplayHints, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
 use chirp_mem::PackedLru;
 use chirp_trace::BranchClass;
@@ -121,6 +121,20 @@ impl Ghrp {
         self.table_accesses += 1;
         self.counter_sum(sig) > self.config.dead_threshold
     }
+
+    /// Folds one retired branch into a GHRP history word: a conditional
+    /// branch shifts in its outcome bit plus three low-order address
+    /// bits, as the original GHRP history does for instruction streams;
+    /// other branches leave it unchanged. [`TlbReplacementPolicy::on_branch`]
+    /// and a factored front end's history column both apply this.
+    #[inline]
+    pub fn fold_history(history: u64, pc: u64, class: BranchClass, taken: bool) -> u64 {
+        if class == BranchClass::Conditional {
+            (history << 4) | (((pc >> 2) & 0x7) << 1) | u64::from(taken)
+        } else {
+            history
+        }
+    }
 }
 
 impl TlbReplacementPolicy for Ghrp {
@@ -170,11 +184,7 @@ impl TlbReplacementPolicy for Ghrp {
     }
 
     fn on_branch(&mut self, pc: u64, class: BranchClass, taken: bool) {
-        if class == BranchClass::Conditional {
-            // Outcome bit plus three low-order branch-address bits, as the
-            // original GHRP history does for instruction streams.
-            self.history = (self.history << 4) | (((pc >> 2) & 0x7) << 1) | u64::from(taken);
-        }
+        self.history = Self::fold_history(self.history, pc, class, taken);
     }
 
     fn prediction_table_accesses(&self) -> u64 {
@@ -189,10 +199,14 @@ impl TlbReplacementPolicy for Ghrp {
         Some(self.meta[self.idx(set, way)].dead)
     }
 
-    /// Needs every retired branch for its history register, but models
-    /// no wrong-path pollution and consumes no precomputed signatures.
-    fn replay_hints(&self, _sig_code: u64) -> crate::policy::ReplayHints {
-        crate::policy::ReplayHints::branches_only()
+    /// Its only control-flow state is the outcome history, so the
+    /// recorded history column replaces every control event.
+    fn replay_hints(&self) -> ReplayHints {
+        ReplayHints::history(HistoryColumn::GhrpOutcome)
+    }
+
+    fn supply_history(&mut self, word: u64) {
+        self.history = word;
     }
 
     fn storage(&self) -> PolicyStorage {

@@ -13,7 +13,7 @@
 //! Not part of the paper's lineup; exposed through
 //! `chirp_sim::PolicyKind::PerceptronReuse` for extension studies.
 
-use crate::policy::{PolicyStorage, TlbReplacementPolicy};
+use crate::policy::{HistoryColumn, PolicyStorage, ReplayHints, TlbReplacementPolicy};
 use crate::types::{TlbAccess, TlbGeometry};
 use chirp_mem::PackedLru;
 use chirp_trace::BranchClass;
@@ -125,6 +125,19 @@ impl PerceptronReuse {
             }
         }
     }
+
+    /// Folds one retired branch into the conditional-PC history word: a
+    /// conditional branch shifts in `pc[11:4]`; other branches leave it
+    /// unchanged. [`TlbReplacementPolicy::on_branch`] and a factored
+    /// front end's history column both apply this.
+    #[inline]
+    pub fn fold_history(cond: u64, pc: u64, class: BranchClass) -> u64 {
+        if class == BranchClass::Conditional {
+            (cond << 8) | ((pc >> 4) & 0xff)
+        } else {
+            cond
+        }
+    }
 }
 
 impl TlbReplacementPolicy for PerceptronReuse {
@@ -177,9 +190,7 @@ impl TlbReplacementPolicy for PerceptronReuse {
     }
 
     fn on_branch(&mut self, pc: u64, class: BranchClass, _taken: bool) {
-        if class == BranchClass::Conditional {
-            self.cond = (self.cond << 8) | ((pc >> 4) & 0xff);
-        }
+        self.cond = Self::fold_history(self.cond, pc, class);
     }
 
     fn prediction_table_accesses(&self) -> u64 {
@@ -194,10 +205,15 @@ impl TlbReplacementPolicy for PerceptronReuse {
         Some(self.meta[self.idx(set, way)].dead)
     }
 
-    /// Needs every retired branch for its history register, but models
-    /// no wrong-path pollution and consumes no precomputed signatures.
-    fn replay_hints(&self, _sig_code: u64) -> crate::policy::ReplayHints {
-        crate::policy::ReplayHints::branches_only()
+    /// Its only control-flow state is the conditional-PC history (the
+    /// path history follows L2 accesses, which replay has), so the
+    /// recorded history column replaces every control event.
+    fn replay_hints(&self) -> ReplayHints {
+        ReplayHints::history(HistoryColumn::PerceptronCond)
+    }
+
+    fn supply_history(&mut self, word: u64) {
+        self.cond = word;
     }
 
     fn storage(&self) -> PolicyStorage {

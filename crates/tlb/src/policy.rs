@@ -7,6 +7,7 @@
 //! prediction-table access counts (Figure 11) and storage overhead
 //! (Table I / §VI-H).
 
+use crate::policies::{Ghrp, PerceptronReuse};
 use crate::types::TlbAccess;
 use chirp_trace::BranchClass;
 
@@ -33,16 +34,51 @@ impl PolicyStorage {
     }
 }
 
-/// What a policy needs from the event stream when a factored back-end
-/// replays pre-recorded L2 accesses instead of running inside the full
-/// simulator (see `chirp-sim`'s front-end/back-end split).
+/// A per-access history word a factored front end can record for a
+/// branch-history policy, so its back-end replays without control events.
 ///
-/// The hints are a pure replay-time *optimization*: a policy that
-/// declares `needs_branches: false` promises that skipping
-/// [`TlbReplacementPolicy::on_branch`] calls cannot change any of its
-/// observable behaviour (victim choices, counters, storage). The
-/// conservative default ([`ReplayHints::conservative`]) keeps every
-/// event, so policies that don't override
+/// Each column starts at 0 (the policies' reset value) and folds every
+/// retired branch with the same formula the owning policy's
+/// [`TlbReplacementPolicy::on_branch`] applies; the word recorded at an
+/// L2 access is the register value that access reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistoryColumn {
+    /// GHRP's conditional-outcome history ([`Ghrp::fold_history`]).
+    GhrpOutcome,
+    /// Perceptron reuse's conditional-PC history
+    /// ([`PerceptronReuse::fold_history`]).
+    PerceptronCond,
+}
+
+impl HistoryColumn {
+    /// Every history column, in the order a one-configuration front end
+    /// records them.
+    pub const ALL: [HistoryColumn; 2] = [HistoryColumn::GhrpOutcome, HistoryColumn::PerceptronCond];
+
+    /// Folds one retired branch into `word`.
+    #[inline]
+    pub fn fold(self, word: u64, pc: u64, class: BranchClass, taken: bool) -> u64 {
+        match self {
+            HistoryColumn::GhrpOutcome => Ghrp::fold_history(word, pc, class, taken),
+            HistoryColumn::PerceptronCond => PerceptronReuse::fold_history(word, pc, class),
+        }
+    }
+}
+
+/// What a policy reads when a factored back-end replays pre-recorded L2
+/// accesses instead of running inside the full simulator (see
+/// `chirp-sim`'s front-end/back-end split).
+///
+/// The hints are a pure replay-time *optimization*. A policy names at
+/// most one precomputed signature column and one history column it can
+/// consume in place of its own registers; `needs_branches` and
+/// `needs_mispredicts` then say which control events it still needs.
+/// Declaring `needs_branches: false` promises that skipping
+/// [`TlbReplacementPolicy::on_branch`] calls cannot change any observable
+/// behaviour (victim choices, counters, storage) once the named columns
+/// are supplied. A stream that lacks a named column replays the policy
+/// conservatively. The default ([`ReplayHints::conservative`]) names no
+/// column and keeps every event, so policies that don't override
 /// [`TlbReplacementPolicy::replay_hints`] are always replayed faithfully.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayHints {
@@ -52,31 +88,48 @@ pub struct ReplayHints {
     /// Replay must forward misprediction events
     /// ([`TlbReplacementPolicy::on_mispredict`]).
     pub needs_mispredicts: bool,
-    /// The policy consumes the stream's precomputed per-access signature
-    /// via [`TlbReplacementPolicy::supply_signature`] instead of running
-    /// its own history registers. Only meaningful when the policy has
-    /// verified the stream's signature-configuration code matches its
-    /// own.
-    pub accepts_signatures: bool,
+    /// The signature configuration code (`ChirpConfig::signature_code`
+    /// in `chirp-core`) whose precomputed per-access signatures the
+    /// policy consumes via [`TlbReplacementPolicy::supply_signature`].
+    pub signature: Option<u64>,
+    /// The history column the policy consumes via
+    /// [`TlbReplacementPolicy::supply_history`].
+    pub history: Option<HistoryColumn>,
 }
 
 impl ReplayHints {
-    /// Safe for every policy: forward all control events, precompute
-    /// nothing.
+    /// Safe for every policy: forward all control events, read no column.
     pub const fn conservative() -> Self {
-        ReplayHints { needs_branches: true, needs_mispredicts: true, accepts_signatures: false }
+        ReplayHints {
+            needs_branches: true,
+            needs_mispredicts: true,
+            signature: None,
+            history: None,
+        }
     }
 
     /// For stateless-between-accesses policies (LRU, Random, RRIP
-    /// family): no control events, no signatures.
+    /// family): no control events, no columns.
     pub const fn none() -> Self {
-        ReplayHints { needs_branches: false, needs_mispredicts: false, accepts_signatures: false }
+        ReplayHints {
+            needs_branches: false,
+            needs_mispredicts: false,
+            signature: None,
+            history: None,
+        }
     }
 
-    /// For branch-history policies without wrong-path modelling (GHRP,
-    /// perceptron reuse).
-    pub const fn branches_only() -> Self {
-        ReplayHints { needs_branches: true, needs_mispredicts: false, accepts_signatures: false }
+    /// For policies whose only control-flow state is the signature of
+    /// configuration `code` (CHiRP): the signature column replaces every
+    /// control event.
+    pub const fn signature(code: u64) -> Self {
+        ReplayHints { signature: Some(code), ..ReplayHints::none() }
+    }
+
+    /// For policies whose only control-flow state is one history word
+    /// (GHRP, perceptron reuse): the column replaces every control event.
+    pub const fn history(column: HistoryColumn) -> Self {
+        ReplayHints { history: Some(column), ..ReplayHints::none() }
     }
 }
 
@@ -153,21 +206,24 @@ pub trait TlbReplacementPolicy {
     /// Storage overhead breakdown (Table I / §VI-H).
     fn storage(&self) -> PolicyStorage;
 
-    /// Which event classes this policy needs when a factored back-end
-    /// replays a pre-recorded L2 access stream. `sig_code` identifies the
-    /// signature configuration the stream's precomputed signatures were
-    /// built with (see `ChirpConfig::signature_code` in `chirp-core`);
-    /// a policy may only claim `accepts_signatures` when that code
-    /// matches its own. The default is fully conservative, so policies
-    /// that ignore this hook are always replayed faithfully.
-    fn replay_hints(&self, _sig_code: u64) -> ReplayHints {
+    /// Which columns this policy reads and which event classes it needs
+    /// when a factored back-end replays a pre-recorded L2 access stream.
+    /// The default is fully conservative, so policies that ignore this
+    /// hook are always replayed faithfully.
+    fn replay_hints(&self) -> ReplayHints {
         ReplayHints::conservative()
     }
 
     /// Hands the policy the stream's precomputed signature for the next
-    /// L2 access. Only called when [`Self::replay_hints`] returned
-    /// `accepts_signatures: true`; the default implementation drops it.
+    /// L2 access. Only called when the stream carries the column
+    /// [`Self::replay_hints`] names; the default implementation drops it.
     fn supply_signature(&mut self, _sig: u16) {}
+
+    /// Hands the policy the history word of the column
+    /// [`Self::replay_hints`] names, as it stands at the next L2 access.
+    /// Only called when the stream carries that column, in place of every
+    /// [`Self::on_branch`] call; the default implementation drops it.
+    fn supply_history(&mut self, _word: u64) {}
 
     /// Downcast hook for diagnostics tooling; policies that expose internal
     /// state override this to return `self`.
@@ -226,12 +282,16 @@ impl<T: TlbReplacementPolicy + ?Sized> TlbReplacementPolicy for Box<T> {
         (**self).storage()
     }
 
-    fn replay_hints(&self, sig_code: u64) -> ReplayHints {
-        (**self).replay_hints(sig_code)
+    fn replay_hints(&self) -> ReplayHints {
+        (**self).replay_hints()
     }
 
     fn supply_signature(&mut self, sig: u16) {
         (**self).supply_signature(sig)
+    }
+
+    fn supply_history(&mut self, word: u64) {
+        (**self).supply_history(word)
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

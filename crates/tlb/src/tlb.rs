@@ -220,6 +220,13 @@ impl<P: TlbReplacementPolicy> L2Tlb<P> {
         self.policy.supply_signature(sig);
     }
 
+    /// Hands the policy a recorded history word for the next access
+    /// (factored replay; see [`TlbReplacementPolicy::supply_history`]).
+    #[inline]
+    pub fn supply_history(&mut self, word: u64) {
+        self.policy.supply_history(word);
+    }
+
     /// Accumulated statistics. `dead_evictions` is sourced live from the
     /// policy (predictive policies track which victims were dead-predicted).
     pub fn stats(&self) -> TlbStats {

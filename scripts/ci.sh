@@ -26,6 +26,12 @@ cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench tests (its own workspace, built against the crates' public API)"
+# perfbench/ is a separate Cargo workspace, so the workspace build above
+# never compiles it; a break in the API it builds against would otherwise
+# only surface when the benchmark runs.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> lane + factored equivalence matrix (--release, plus the legacy-dyn shim)"
 # The engines' bit-identity gates rerun under the optimized profile: the
 # fast paths they pin (branchless probe, packed order word, lane
