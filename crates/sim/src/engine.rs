@@ -23,15 +23,23 @@ use chirp_trace::{
 /// columns stay resident in L1/L2 cache while it is consumed.
 pub(crate) const CHUNK_SIZE: usize = 4096;
 
+/// Cycles, instructions and L2 statistics at the start of a measured
+/// window.
+type Window = (u64, u64, TlbStats);
+
+/// The record index at which every run path cuts the warmup window of a
+/// `len`-record trace.
+pub(crate) fn warmup_cut(len: usize, warmup_fraction: f64) -> usize {
+    (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len)
+}
+
 /// The assembled machine model.
 ///
-/// Generic over the L2 TLB replacement policy. The default parameter keeps
-/// the dynamic-dispatch construction (`Simulator::new` with a boxed
-/// policy) compiling unchanged; performance-sensitive callers use
-/// [`Simulator::with_policy`] with a concrete type (for example
-/// [`crate::PolicyDispatch`]) so the whole per-instruction chain
-/// monomorphizes.
-pub struct Simulator<P: TlbReplacementPolicy = Box<dyn TlbReplacementPolicy>> {
+/// Generic over the L2 TLB replacement policy; [`Simulator::with_policy`]
+/// with a concrete type (usually [`crate::PolicyDispatch`]) monomorphizes
+/// the whole per-instruction chain. The per-record [`run`](Simulator::run)
+/// is the reference oracle every faster path is pinned against.
+pub struct Simulator<P: TlbReplacementPolicy> {
     mem: MemoryHierarchy,
     branch: BranchUnit,
     tlbs: TlbHierarchy<P>,
@@ -45,21 +53,6 @@ impl<P: TlbReplacementPolicy> std::fmt::Debug for Simulator<P> {
             .field("cycles", &self.cycles)
             .field("instructions", &self.instructions)
             .finish()
-    }
-}
-
-#[cfg(feature = "legacy-dyn")]
-impl Simulator {
-    /// Builds a simulator with a boxed (dynamically dispatched) L2 TLB
-    /// replacement policy — the legacy constructor, kept as a
-    /// compatibility shim over [`Simulator::with_policy`] behind the
-    /// `legacy-dyn` feature. New code should use
-    /// [`Simulator::with_policy`] with a concrete policy type (usually
-    /// [`crate::PolicyDispatch`]); the boxed path costs a vtable call per
-    /// policy touch and is kept only so the shim's equivalence test can
-    /// keep proving the two dispatch strategies identical.
-    pub fn new(config: &SimConfig, l2_policy: Box<dyn TlbReplacementPolicy>) -> Self {
-        Simulator::with_policy(config, l2_policy)
     }
 }
 
@@ -79,29 +72,18 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// Executes one instruction, accumulating cycles.
     #[inline]
     pub fn step(&mut self, rec: &TraceRecord) {
-        self.step_decoded(rec, vpn(rec.pc), vpn(rec.effective_address));
-    }
-
-    /// [`step`](Self::step) with the instruction/data page numbers already
-    /// computed. The lane engine batch-decodes each burst of records and
-    /// derives both vpns in the decode pass, so the interleaved probe loop
-    /// issues straight into the TLB arrays without per-record address
-    /// arithmetic. `dvpn` is ignored for non-memory records (callers pass
-    /// `vpn(0)` or any value).
-    #[inline]
-    pub(crate) fn step_decoded(&mut self, rec: &TraceRecord, ivpn: u64, dvpn: u64) {
         self.instructions += 1;
         let mut cycles = 1u64;
 
         // Instruction side: translate the fetch PC, then fetch.
-        cycles += self.tlbs.translate(rec.pc, ivpn, TranslationKind::Instruction).cycles;
+        cycles += self.tlbs.translate(rec.pc, vpn(rec.pc), TranslationKind::Instruction).cycles;
         let fetch_latency = self.mem.fetch(rec.pc);
         cycles += self.cache_penalty(fetch_latency);
 
         // Data side.
         if rec.kind.is_memory() {
             let ea = rec.effective_address;
-            cycles += self.tlbs.translate(rec.pc, dvpn, TranslationKind::Data).cycles;
+            cycles += self.tlbs.translate(rec.pc, vpn(ea), TranslationKind::Data).cycles;
             let lat = match rec.kind {
                 InstrKind::Load => self.mem.load(ea),
                 InstrKind::Store => self.mem.store(ea),
@@ -138,10 +120,8 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// results are identical because the packed iterator yields the exact
     /// records that were packed.
     pub fn run<T: TraceSource + ?Sized>(&mut self, trace: &T, warmup_fraction: f64) -> RunResult {
-        let len = trace.len();
-        let warmup = ((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize;
         let mut records = trace.records();
-        for rec in records.by_ref().take(warmup.min(len)) {
+        for rec in records.by_ref().take(warmup_cut(trace.len(), warmup_fraction)) {
             self.step(&rec);
         }
         let window = self.window_start();
@@ -162,23 +142,36 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// are exactly the packed records in order, and warmup is cut at the
     /// same instruction index (mid-chunk via [`TraceChunk::split_at`]).
     pub fn run_columnar(&mut self, trace: &PackedTrace, warmup_fraction: f64) -> RunResult {
-        let len = trace.len();
-        let warmup = (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len);
+        let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut window = None;
         let mut pos = 0usize;
         for chunk in trace.chunks(CHUNK_SIZE) {
-            if window.is_none() && warmup <= pos + chunk.len() {
-                let (head, tail) = chunk.split_at(warmup - pos);
-                self.step_chunk(&head);
-                window = Some(self.window_start());
-                self.step_chunk(&tail);
-            } else {
-                self.step_chunk(&chunk);
-            }
+            self.step_chunk_at(&chunk, pos, warmup, &mut window);
             pos += chunk.len();
         }
         let window = window.unwrap_or_else(|| self.window_start());
         self.finish_result(window)
+    }
+
+    /// Steps one columnar chunk that starts at record `pos`, opening the
+    /// measured window once `warmup` records have been stepped (mid-chunk
+    /// via [`TraceChunk::split_at`]).
+    #[inline]
+    fn step_chunk_at(
+        &mut self,
+        chunk: &TraceChunk<'_>,
+        pos: usize,
+        warmup: usize,
+        window: &mut Option<Window>,
+    ) {
+        if window.is_none() && warmup <= pos + chunk.len() {
+            let (head, tail) = chunk.split_at(warmup - pos);
+            self.step_chunk(&head);
+            *window = Some(self.window_start());
+            self.step_chunk(&tail);
+        } else {
+            self.step_chunk(chunk);
+        }
     }
 
     /// Steps every record of one columnar chunk.
@@ -206,8 +199,17 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         stream: &mut S,
         warmup_fraction: f64,
     ) -> Result<RunResult, StreamError> {
-        run_stream_units(std::slice::from_mut(self), stream, warmup_fraction)
-            .map(|mut results| results.pop().expect("one simulator in, one result out"))
+        let warmup = warmup_cut(stream.len(), warmup_fraction);
+        let mut window = None;
+        let mut pos = 0usize;
+        while let Some(batch) = stream.next_batch()? {
+            for chunk in batch.chunks(CHUNK_SIZE) {
+                self.step_chunk_at(&chunk, pos, warmup, &mut window);
+                pos += chunk.len();
+            }
+        }
+        let window = window.unwrap_or_else(|| self.window_start());
+        Ok(self.finish_result(window))
     }
 
     /// Runs the whole trace like [`run`](Self::run), additionally sampling
@@ -232,10 +234,8 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         epoch_instructions: u64,
     ) -> (RunResult, Vec<EpochRow>) {
         self.tlbs.l2_mut().enable_outcome_tracking();
-        let len = trace.len();
-        let warmup = ((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize;
         let mut records = trace.records();
-        for rec in records.by_ref().take(warmup.min(len)) {
+        for rec in records.by_ref().take(warmup_cut(trace.len(), warmup_fraction)) {
             self.step(&rec);
         }
         let window = self.window_start();
@@ -253,16 +253,13 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     }
 
     /// Snapshot of machine state at the start of the measured window.
-    pub(crate) fn window_start(&self) -> (u64, u64, TlbStats) {
+    fn window_start(&self) -> Window {
         (self.cycles, self.instructions, self.tlbs.l2().stats())
     }
 
     /// Assembles the [`RunResult`] for the window opened by
     /// [`window_start`](Self::window_start).
-    pub(crate) fn finish_result(
-        &self,
-        (cycles0, instructions0, stats0): (u64, u64, TlbStats),
-    ) -> RunResult {
+    fn finish_result(&self, (cycles0, instructions0, stats0): Window) -> RunResult {
         let stats1 = self.tlbs.l2().stats();
         let measured = TlbStats {
             hits: stats1.hits - stats0.hits,
@@ -321,57 +318,6 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     pub fn branch_stats(&self) -> chirp_branch::BranchStats {
         self.branch.stats()
     }
-}
-
-/// Runs several simulators in lockstep over one streamed trace: each
-/// pulled batch is stepped through every simulator before the next batch
-/// is requested, so a whole benchmark's policy lineup shares a single
-/// generation/decode pass and the trace is never materialised. Every
-/// result is bit-identical to [`Simulator::run_columnar`] on the
-/// materialized trace.
-///
-/// The warmup cut is computed once from [`TraceStream::len`] and applied
-/// at the same absolute instruction index in every simulator (mid-batch
-/// via [`TraceChunk::split_at`]). A stream that ends early (a generator
-/// stopping short of its limit) simply closes the measured window at the
-/// actual end, mirroring a short materialized trace.
-///
-/// # Errors
-///
-/// Propagates the stream's first error; all simulators are then mid-trace
-/// and the batch of runs must be retried from scratch.
-pub fn run_stream_units<P: TlbReplacementPolicy, S: TraceStream + ?Sized>(
-    sims: &mut [Simulator<P>],
-    stream: &mut S,
-    warmup_fraction: f64,
-) -> Result<Vec<RunResult>, StreamError> {
-    let len = stream.len();
-    let warmup = (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len);
-    let mut windows: Vec<Option<(u64, u64, TlbStats)>> = vec![None; sims.len()];
-    let mut pos = 0usize;
-    while let Some(batch) = stream.next_batch()? {
-        for chunk in batch.chunks(CHUNK_SIZE) {
-            for (sim, window) in sims.iter_mut().zip(windows.iter_mut()) {
-                if window.is_none() && warmup <= pos + chunk.len() {
-                    let (head, tail) = chunk.split_at(warmup - pos);
-                    sim.step_chunk(&head);
-                    *window = Some(sim.window_start());
-                    sim.step_chunk(&tail);
-                } else {
-                    sim.step_chunk(&chunk);
-                }
-            }
-            pos += chunk.len();
-        }
-    }
-    Ok(sims
-        .iter_mut()
-        .zip(windows)
-        .map(|(sim, window)| {
-            let window = window.unwrap_or_else(|| sim.window_start());
-            sim.finish_result(window)
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -439,24 +385,6 @@ mod tests {
             let mut stream = chirp_trace::MaterializedStream::new(&trace, chunk);
             let got = streamed.run_stream(&mut stream, 0.5).unwrap();
             assert_eq!(got, want, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn lockstep_stream_units_match_independent_runs() {
-        let g = SpecLoops::default();
-        let trace = g.generate_packed(30_000, 2);
-        let config = SimConfig::default();
-        let kinds = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Chirp(Default::default())];
-        let mut sims: Vec<_> = kinds
-            .iter()
-            .map(|k| Simulator::with_policy(&config, k.build_dispatch(config.tlb.l2, 0)))
-            .collect();
-        let mut stream = chirp_trace::MaterializedStream::new(&trace, 999);
-        let got = run_stream_units(&mut sims, &mut stream, 0.5).unwrap();
-        for (kind, streamed) in kinds.iter().zip(&got) {
-            let mut solo = Simulator::with_policy(&config, kind.build_dispatch(config.tlb.l2, 0));
-            assert_eq!(streamed, &solo.run_columnar(&trace, 0.5), "{kind:?}");
         }
     }
 

@@ -46,7 +46,7 @@
 //! history left by the previous one.
 
 use crate::config::SimConfig;
-use crate::engine::CHUNK_SIZE;
+use crate::engine::{warmup_cut, CHUNK_SIZE};
 use crate::metrics::RunResult;
 use chirp_branch::BranchUnit;
 use chirp_core::signature::hash16;
@@ -75,11 +75,6 @@ const CTL_UNCOND_INDIRECT: u8 = 1;
 const CTL_UNCOND_DIRECT: u8 = 2;
 const CTL_MISPREDICT: u8 = 1 << 6;
 const CTL_TAKEN: u8 = 1 << 7;
-
-/// The instruction index `run_columnar` cuts the warmup window at.
-fn warmup_cut(len: usize, warmup_fraction: f64) -> usize {
-    (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len)
-}
 
 /// What a [`FrontEnd`] records for one group of back-ends: one
 /// precomputed-signature column per signature configuration, one word
@@ -492,7 +487,7 @@ impl FrontEnd {
         }
     }
 
-    /// Mirrors `Simulator::step_decoded` minus the L2/walker: same event
+    /// Mirrors `Simulator::step` minus the L2/walker: same event
     /// order (i-access, d-access, mispredict, branch), same cycle terms
     /// except the walk.
     #[inline]
@@ -876,8 +871,8 @@ pub fn run_factored_group<P: TlbReplacementPolicy>(
 
 /// The streamed form of [`run_factored_group`]: pulls bounded batches
 /// and feeds them through the same chunk driver — peak event residency
-/// is O(chunk), and results are bit-identical to
-/// [`crate::run_stream_units`] over the same stream.
+/// is O(chunk), and results are bit-identical to one
+/// [`crate::Simulator::run_stream`] per policy over the same stream.
 ///
 /// # Errors
 ///

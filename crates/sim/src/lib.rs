@@ -19,12 +19,10 @@
 //! assert!(result.instructions > 0);
 //! ```
 
-pub mod baseline;
 pub mod config;
 pub mod engine;
 pub mod experiments;
 pub mod frontend;
-pub mod lanes;
 pub mod metrics;
 pub mod registry;
 pub mod report;
@@ -34,12 +32,11 @@ pub mod store_cache;
 pub mod telemetry;
 
 pub use config::SimConfig;
-pub use engine::{run_stream_units, Simulator};
+pub use engine::Simulator;
 pub use frontend::{
     group_sig_config, group_sig_configs, run_factored_group, run_stream_factored, Backend,
     EventSegment, FactoredTrace, FrontEnd, StreamLayout,
 };
-pub use lanes::{run_columnar_lanes, run_columnar_lanes_outcomes, LaneUnit};
 pub use metrics::RunResult;
 pub use registry::{PolicyDispatch, PolicyKind};
 pub use runner::{

@@ -16,9 +16,8 @@
 //! different traces fetch concurrently.
 
 use crate::config::SimConfig;
-use crate::engine::{run_stream_units, Simulator};
+use crate::engine::Simulator;
 use crate::frontend::{group_sig_configs, run_factored_group, run_stream_factored};
-use crate::lanes::{run_columnar_lanes, LaneUnit};
 use crate::metrics::RunResult;
 use crate::registry::{PolicyDispatch, PolicyKind};
 use crate::sched::{run_streamed, run_unit_groups, WorkItem};
@@ -50,35 +49,22 @@ pub struct RunnerConfig {
     /// rather than deadlock. Does not enter result identity: ledger keys
     /// ignore it, and results are bit-identical at any budget.
     pub mem_budget: Option<u64>,
-    /// Lane width for the software-pipelined hot loop: up to this many
-    /// same-trace (benchmark × policy) units are interleaved through one
-    /// instruction loop per worker ([`crate::run_columnar_lanes`]).
-    /// `0` and `1` both mean sequential execution. Purely an execution-
-    /// strategy knob — results are bit-identical at any width (pinned by
-    /// `tests/equivalence_matrix.rs`), so it is excluded from ledger run
-    /// keys, and configs serialized before the field existed default to
-    /// sequential.
+    /// Ignored. It named the width of the retired multi-lane engine and
+    /// stays only so existing struct literals and serialized configs keep
+    /// building; the engine is chosen from the group size alone (see
+    /// [`run_policy_group`]).
     #[serde(default)]
     pub lanes: usize,
     /// Records per streamed batch for [`run_suite_streamed`]; `0` means
-    /// [`DEFAULT_STREAM_CHUNK`]. Like `lanes`, purely an execution-
-    /// strategy knob: streamed results are bit-identical at any chunk
-    /// size (batch boundaries carry no simulation meaning), so it is
-    /// excluded from ledger run keys by construction — `run_key` never
-    /// sees it.
+    /// [`DEFAULT_STREAM_CHUNK`]. Purely an execution-strategy knob:
+    /// streamed results are bit-identical at any chunk size (batch
+    /// boundaries carry no simulation meaning), so it is excluded from
+    /// ledger run keys by construction — `run_key` never sees it.
     #[serde(default)]
     pub stream_chunk: usize,
-    /// Run multi-policy groups through the factored engine: one shared
-    /// front-end pass over the trace emits the policy-invariant L2-TLB
-    /// event stream, and each policy replays only its L2 + walker over it
-    /// ([`crate::run_factored_group`]). Single-policy groups always take
-    /// the plain columnar loop (there is nothing to share). Like `lanes`,
-    /// purely an execution-strategy knob — results are bit-identical
-    /// either way (pinned by `tests/equivalence_matrix.rs`), so it is
-    /// excluded from ledger run keys. `RunnerConfig::default()` enables
-    /// it; CLI construction goes through that default, so lineup-width
-    /// groups dispatch through the shared front end unless explicitly
-    /// disabled.
+    /// Ignored, like `lanes`: every multi-policy group runs through the
+    /// factored engine and every single-policy group through
+    /// [`Simulator::run_columnar`] or [`Simulator::run_stream`].
     #[serde(default)]
     pub factored: bool,
 }
@@ -116,24 +102,6 @@ impl RunnerConfig {
     /// real size is known.
     pub(crate) fn trace_estimate(&self) -> u64 {
         PackedTrace::estimate_bytes(self.instructions)
-    }
-
-    /// Lane width actually dispatched: `lanes` clamped to at least 1, so
-    /// the zero that `#[serde(default)]` gives old configs (and any
-    /// miscomputed width) degrades to sequential execution.
-    pub fn lane_width(&self) -> usize {
-        self.lanes.max(1)
-    }
-
-    /// Group width handed to the scheduler: factored execution wants the
-    /// whole lineup in one group (one shared front end + N back-ends), so
-    /// it widens the configured lane width to the policy count.
-    pub(crate) fn group_width(&self, policies: usize) -> usize {
-        if self.factored {
-            self.lane_width().max(policies)
-        } else {
-            self.lane_width()
-        }
     }
 
     /// Records per streamed batch actually used: `stream_chunk` with 0
@@ -204,7 +172,7 @@ fn run_suite_direct(
         config.worker_threads(),
         config.trace_estimate(),
         config.mem_budget,
-        config.group_width(policies.len()),
+        policies.len(),
         |item| Ok(suite[item.bench].generate_packed(config.instructions)),
         |w, positions, trace| simulate_group(suite, policies, config, &work[w], positions, trace),
     )
@@ -213,15 +181,11 @@ fn run_suite_direct(
 }
 
 /// Builds and runs a group of same-benchmark (benchmark × policy)
-/// simulations over a shared packed trace. A multi-unit group with
-/// `factored` set dispatches through the shared front end
-/// ([`run_factored_group`]); otherwise the group runs software-pipelined
-/// through the multi-lane interleaved loop
-/// ([`crate::run_columnar_lanes`]) at its width, a single-unit group
-/// degenerating to the sequential columnar loop. Each unit's result is
-/// bit-identical to the legacy `Simulator::new` + `run` path — pinned by
-/// the lane, shim and factored matrices in `tests/equivalence_matrix.rs`
-/// and by `scheduler_reproduces_benchwise_baseline_exactly` below.
+/// simulations over a shared packed trace through [`run_policy_group`].
+/// Each unit's result is bit-identical to the per-record oracle
+/// `Simulator::run` — pinned by the oracle and factored layers of
+/// `tests/equivalence_matrix.rs` and by
+/// `scheduler_reproduces_per_record_oracle_exactly` below.
 fn simulate_group(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
@@ -233,29 +197,29 @@ fn simulate_group(
     let bench = &suite[item.bench];
     let kinds: Vec<&PolicyKind> =
         positions.iter().map(|&pos| &policies[item.policies[pos]]).collect();
-    run_policy_group(&config.sim, &kinds, bench.seed, trace, config.factored)
+    run_policy_group(&config.sim, &kinds, bench.seed, trace, true)
         .into_iter()
         .map(|result| BenchRun { benchmark: bench.name.clone(), category: bench.category, result })
         .collect()
 }
 
 /// Runs one same-trace group of policies, the primitive `simulate_group`
-/// and `chirp-serve` share. With `factored` set and more than one policy,
-/// the group runs as one front-end pass + per-policy replay back-ends
-/// ([`run_factored_group`]) — the front end records one signature column
-/// per distinct CHiRP configuration of the group ([`group_sig_configs`]).
-/// Otherwise (or for a group of one, which has nothing to share) the
-/// policies run through the lane-interleaved columnar loop at the
-/// group's width. Results are bit-identical either way, in input order.
+/// and `chirp-serve` share. A group of more than one policy runs as one
+/// front-end pass + per-policy replay back-ends ([`run_factored_group`]);
+/// the front end records one signature column per distinct CHiRP
+/// configuration of the group ([`group_sig_configs`]). A group of one has
+/// nothing to share and runs [`Simulator::run_columnar`]. Results are
+/// bit-identical either way, in input order. `_factored` is ignored; it
+/// keeps the signature existing callers build against.
 pub fn run_policy_group(
     sim: &SimConfig,
     kinds: &[&PolicyKind],
     seed: u64,
     trace: &PackedTrace,
-    factored: bool,
+    _factored: bool,
 ) -> Vec<RunResult> {
     let build = |kind: &PolicyKind| -> PolicyDispatch { kind.build_dispatch(sim.tlb.l2, seed) };
-    if factored && kinds.len() > 1 {
+    if kinds.len() > 1 {
         let sig_configs = group_sig_configs(kinds.iter().copied());
         let policies: Vec<PolicyDispatch> = kinds.iter().map(|k| build(k)).collect();
         run_factored_group(sim, trace, sim.warmup_fraction, &sig_configs, policies)
@@ -263,22 +227,17 @@ pub fn run_policy_group(
             .map(|(result, _)| result)
             .collect()
     } else {
-        let units: Vec<_> = kinds
+        kinds
             .iter()
-            .map(|k| {
-                LaneUnit::new(Simulator::with_policy(sim, build(k)), trace, sim.warmup_fraction)
-            })
-            .collect();
-        let lanes = units.len();
-        run_columnar_lanes(units, lanes)
+            .map(|k| Simulator::with_policy(sim, build(k)).run_columnar(trace, sim.warmup_fraction))
+            .collect()
     }
 }
 
 /// The streamed form of [`run_policy_group`]: one pass over `stream` for
-/// every policy of the group, factored ([`run_stream_factored`]) when
-/// `factored` is set and the group has more than one policy, else
-/// lockstep simulators ([`run_stream_units`]). Results are bit-identical
-/// either way, in input order.
+/// every policy of the group — factored ([`run_stream_factored`]) for
+/// more than one policy, [`Simulator::run_stream`] for one. Results are
+/// bit-identical either way, in input order.
 ///
 /// # Errors
 ///
@@ -288,18 +247,18 @@ pub fn run_stream_policy_group(
     kinds: &[&PolicyKind],
     seed: u64,
     stream: &mut dyn chirp_trace::TraceStream,
-    factored: bool,
 ) -> Result<Vec<RunResult>, chirp_trace::StreamError> {
     let build = |kind: &PolicyKind| -> PolicyDispatch { kind.build_dispatch(sim.tlb.l2, seed) };
-    if factored && kinds.len() > 1 {
+    if kinds.len() > 1 {
         let sig_configs = group_sig_configs(kinds.iter().copied());
         let policies: Vec<PolicyDispatch> = kinds.iter().map(|k| build(k)).collect();
         run_stream_factored(sim, &sig_configs, policies, stream, sim.warmup_fraction)
             .map(|outcomes| outcomes.into_iter().map(|(result, _)| result).collect())
     } else {
-        let mut sims: Vec<Simulator<PolicyDispatch>> =
-            kinds.iter().map(|k| Simulator::with_policy(sim, build(k))).collect();
-        run_stream_units(&mut sims, stream, sim.warmup_fraction)
+        kinds
+            .iter()
+            .map(|k| Simulator::with_policy(sim, build(k)).run_stream(stream, sim.warmup_fraction))
+            .collect()
     }
 }
 
@@ -371,7 +330,7 @@ pub fn run_suite_cached(
             config.worker_threads(),
             config.trace_estimate(),
             config.mem_budget,
-            config.group_width(policies.len()),
+            policies.len(),
             |item| fetch_archived(&archive, &suite[item.bench], config.instructions),
             |w, positions, trace| {
                 simulate_group(suite, policies, config, &work[w], positions, trace)
@@ -411,9 +370,9 @@ pub fn run_suite_cached(
 ///
 /// * each missing (benchmark × policies) work item opens ONE trace
 ///   stream — archive-backed when a valid entry exists, else a generator
-///   stream — and runs all its missing policies over it in lockstep
-///   ([`crate::engine::run_stream_units`]), so peak per-unit trace
-///   residency is O(stream chunk) instead of O(trace);
+///   stream — and runs all its missing policies over it in one pass
+///   ([`run_stream_policy_group`]), so peak per-unit trace residency is
+///   O(stream chunk) instead of O(trace);
 /// * results are appended to the run ledger as each item completes (not
 ///   batched at the end), so a run interrupted mid-suite keeps every
 ///   finished item and a rerun resumes from the ledger;
@@ -425,8 +384,7 @@ pub fn run_suite_cached(
 /// [`run_suite`]): batch boundaries carry no simulation meaning and the
 /// warmup cut lands on the same absolute instruction. Differences are
 /// operational only: generated traces are *not* archived (there is no
-/// resident trace to encode), and lane interleaving does not apply (the
-/// lockstep pass already shares the stream across the item's policies).
+/// resident trace to encode).
 pub fn run_suite_streamed(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
@@ -503,7 +461,7 @@ pub fn run_suite_streamed(
 }
 
 /// Runs one streamed work item: probes the archive under its lock, then
-/// (unlocked) streams the trace through every missing policy in lockstep.
+/// (unlocked) streams the trace through every missing policy in one pass.
 /// Any archive-stream failure falls back to a generator stream on fresh
 /// simulators.
 fn stream_one_item(
@@ -516,13 +474,9 @@ fn stream_one_item(
 ) -> Result<Vec<BenchRun>, StoreError> {
     let bench = &suite[item.bench];
     let chunk = config.stream_chunk_records();
-    // One pass over the stream for all of the item's policies: factored
-    // (shared front end + replay back-ends) when the group is wide enough
-    // and enabled, else the legacy lockstep simulators. Bit-identical
-    // either way (`tests/equivalence_matrix.rs`).
     let kinds: Vec<&PolicyKind> = item.policies.iter().map(|&pi| &policies[pi]).collect();
     let run_item = |stream: &mut dyn chirp_trace::TraceStream| {
-        run_stream_policy_group(&config.sim, &kinds, bench.seed, stream, config.factored)
+        run_stream_policy_group(&config.sim, &kinds, bench.seed, stream)
     };
     let wrap = |results: Vec<RunResult>| -> Vec<BenchRun> {
         results
@@ -610,7 +564,6 @@ pub fn group_by_benchmark(runs: &[BenchRun], policies: usize) -> Vec<&[BenchRun]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::run_suite_benchwise;
     use chirp_store::TempDir;
     use chirp_trace::suite::{build_suite, SuiteConfig};
 
@@ -637,25 +590,51 @@ mod tests {
         assert_eq!(run_suite(&suite, &policies, &serial), run_suite(&suite, &policies, &parallel));
     }
 
-    /// The tentpole equivalence gate: the packed-trace scheduler must
-    /// reproduce the pre-rework benchwise runner bit-for-bit over a
-    /// 4-benchmark × 3-policy matrix, at several thread counts and under
-    /// a trace-at-a-time memory budget.
+    /// The scheduler equivalence gate: every path `run_suite` takes —
+    /// factored multi-policy groups and single-policy `run_columnar` — must
+    /// reproduce the per-record oracle (`Simulator::run` over the flat
+    /// trace) bit-for-bit over a 4-benchmark × 3-policy matrix and a
+    /// single-policy run, at several thread counts and under a
+    /// trace-at-a-time memory budget.
     #[test]
-    fn scheduler_reproduces_benchwise_baseline_exactly() {
+    fn scheduler_reproduces_per_record_oracle_exactly() {
         let suite = build_suite(&SuiteConfig { benchmarks: 4 });
-        let policies = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Ghrp];
         let base_config = RunnerConfig { instructions: 12_000, threads: 2, ..Default::default() };
-        let baseline = run_suite_benchwise(&suite, &policies, &base_config);
-        assert_eq!(baseline.len(), 12);
-        for threads in [1, 4] {
-            for mem_budget in [None, Some(1)] {
-                let config = RunnerConfig { threads, mem_budget, ..base_config.clone() };
-                assert_eq!(
-                    run_suite(&suite, &policies, &config),
-                    baseline,
-                    "threads={threads} mem_budget={mem_budget:?}"
-                );
+        let oracle = |policies: &[PolicyKind]| -> Vec<BenchRun> {
+            let sim = &base_config.sim;
+            suite
+                .iter()
+                .flat_map(|bench| {
+                    let trace = bench.generate(base_config.instructions);
+                    policies.iter().map(move |policy| {
+                        let mut oracle = Simulator::with_policy(
+                            sim,
+                            policy.build_dispatch(sim.tlb.l2, bench.seed),
+                        );
+                        BenchRun {
+                            benchmark: bench.name.clone(),
+                            category: bench.category,
+                            result: oracle.run(trace.as_slice(), sim.warmup_fraction),
+                        }
+                    })
+                })
+                .collect()
+        };
+        let group = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Ghrp];
+        let solo = [PolicyKind::Ghrp];
+        for policies in [&group[..], &solo[..]] {
+            let want = oracle(policies);
+            assert_eq!(want.len(), 4 * policies.len());
+            for threads in [1, 4] {
+                for mem_budget in [None, Some(1)] {
+                    let config = RunnerConfig { threads, mem_budget, ..base_config.clone() };
+                    assert_eq!(
+                        run_suite(&suite, policies, &config),
+                        want,
+                        "{} policies, threads={threads} mem_budget={mem_budget:?}",
+                        policies.len()
+                    );
+                }
             }
         }
     }

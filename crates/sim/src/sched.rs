@@ -134,7 +134,7 @@ struct State {
 enum Task {
     Fetch(usize),
     /// A group of same-work-item simulation tasks (positions into the
-    /// item's `policies`), claimed together for lane dispatch.
+    /// item's `policies`), claimed together so they share one pass.
     Sim(usize, Vec<usize>),
     Done,
 }
@@ -169,11 +169,12 @@ where
     })
 }
 
-/// [`run_units`] with multi-lane dispatch: ready simulation tasks that
-/// share a work item's trace are claimed in groups of up to `lanes` and
-/// handed to `simulate_group` together, so the callee can software-
-/// pipeline them through one interleaved instruction loop
-/// ([`crate::run_columnar_lanes`]) instead of running them back to back.
+/// [`run_units`] with grouped dispatch: ready simulation tasks that share
+/// a work item's trace are claimed in groups of up to `group_width` and
+/// handed to `simulate_group` together, so the callee can run them as one
+/// shared front-end pass ([`crate::run_policy_group`]) instead of back to
+/// back. The runner passes its policy count, so a work item's missing
+/// policies form one group unless another worker claims part of it.
 ///
 /// `simulate_group` receives `(work index, policy positions, trace)` and
 /// must return one result per position, in order. Grouping only ever
@@ -187,7 +188,7 @@ pub fn run_unit_groups<F, S, R>(
     threads: usize,
     est_bytes: u64,
     budget: Option<u64>,
-    lanes: usize,
+    group_width: usize,
     fetch: F,
     simulate_group: S,
 ) -> Result<(Vec<Vec<R>>, SchedulerSummary), StoreError>
@@ -196,7 +197,7 @@ where
     S: Fn(usize, &[usize], &PackedTrace) -> Vec<R> + Sync,
     R: Send,
 {
-    let lanes = lanes.max(1);
+    let group_width = group_width.max(1);
     let started = Instant::now();
     let threads = threads.max(1);
     let state = Mutex::new(State {
@@ -236,13 +237,13 @@ where
                     let mut st = state.lock().expect("scheduler lock");
                     loop {
                         if let Some((w, pos)) = st.ready.pop_front() {
-                            // Claim up to `lanes` ready tasks that share
+                            // Claim up to `group_width` ready tasks that share
                             // this task's trace. Same-item tasks are
                             // enqueued contiguously, so a front-run scan
                             // finds them; whatever a concurrent worker
                             // already claimed simply isn't there.
                             let mut group = vec![pos];
-                            while group.len() < lanes
+                            while group.len() < group_width
                                 && st.ready.front().is_some_and(|&(w2, _)| w2 == w)
                             {
                                 let (_, p) = st.ready.pop_front().expect("front checked");
@@ -384,8 +385,8 @@ struct StreamState {
 
 /// Streaming counterpart of [`run_unit_groups`]: each work item is ONE
 /// task — `exec` opens the item's trace stream itself, runs every listed
-/// policy over it in lockstep (one generation/decode pass, see
-/// [`crate::engine::run_stream_units`]) and returns one result per policy
+/// policy over it in one pass (one generation/decode pass, see
+/// [`crate::run_stream_policy_group`]) and returns one result per policy
 /// position. No trace is ever shared or resident in the scheduler;
 /// `unit_bytes` is the estimated peak residency of one in-flight item
 /// (a few stream chunks), and `budget` caps the sum across items with the
@@ -552,7 +553,7 @@ mod tests {
         assert!(summary.peak_ready_queue >= 1, "tasks must have queued at least once");
     }
 
-    /// Lane-group dispatch: a single worker with `lanes = 4` must claim
+    /// Grouped dispatch: a single worker with `group_width = 4` must claim
     /// same-item tasks in groups (never crossing work items), cover every
     /// task exactly once, and land results in input order.
     #[test]
@@ -583,7 +584,7 @@ mod tests {
             ]
         );
         assert_eq!(summary.sim_tasks, 7);
-        assert_eq!(max_group.load(Ordering::SeqCst), 4, "a full lane group must form");
+        assert_eq!(max_group.load(Ordering::SeqCst), 4, "a full group must form");
     }
 
     /// The lock-splitting satellite's regression probe: two workers that

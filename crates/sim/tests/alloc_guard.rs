@@ -8,32 +8,49 @@
 //! differ if something inside the per-instruction loop allocates — which
 //! is exactly what the packed-age/flat-array rework eliminated. This file
 //! is a separate integration test so the allocator swap owns its process.
+//!
+//! Allocations are counted per thread. libtest runs tests and reports
+//! their results on other threads, and a process-wide count picked their
+//! allocations up inside a measured window. Every measured call runs on
+//! the calling thread, so a per-thread count sees all of its work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use chirp_core::ChirpConfig;
-use chirp_sim::{run_columnar_lanes, LaneUnit, PolicyKind, SimConfig, Simulator};
+use chirp_sim::{PolicyKind, SimConfig, Simulator};
 use chirp_trace::suite::{build_suite, SuiteConfig};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialized and without a
+    /// destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,21 +62,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `ALLOCATIONS` is process-global, but libtest runs the two tests below
-/// on separate threads: one test's setup allocations can land inside the
-/// other's measured window and fail it spuriously. Each test holds this
-/// lock for its whole body so a measured window owns the counter.
-static GATE: Mutex<()> = Mutex::new(());
-
 /// Allocation count of one `run_columnar` call, simulator construction
 /// excluded.
 fn allocs_for_run(policy: &PolicyKind, config: &SimConfig, instructions: usize, seed: u64) -> u64 {
     let suite = build_suite(&SuiteConfig { benchmarks: 1 });
     let trace = suite[0].generate_packed(instructions);
     let mut sim = Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, seed));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let result = sim.run_columnar(&trace, config.warmup_fraction);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(result.instructions > 0 || instructions == 0);
     after - before
 }
@@ -74,7 +85,6 @@ fn lineup9() -> Vec<PolicyKind> {
 
 #[test]
 fn hot_loop_does_not_allocate_per_instruction() {
-    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let config = SimConfig::default();
     for policy in &lineup9() {
         let short = allocs_for_run(policy, &config, 4_000, 7);
@@ -87,43 +97,6 @@ fn hot_loop_does_not_allocate_per_instruction() {
             policy.name()
         );
     }
-}
-
-/// Allocation count of one `run_columnar_lanes` call over all 9 policies
-/// at the given trace length, unit/simulator construction excluded.
-fn allocs_for_lane_run(config: &SimConfig, instructions: usize, lanes: usize) -> u64 {
-    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-    let trace = suite[0].generate_packed(instructions);
-    let units: Vec<_> = lineup9()
-        .iter()
-        .map(|policy| {
-            let sim = Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, 7));
-            LaneUnit::new(sim, &trace, config.warmup_fraction)
-        })
-        .collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let results = run_columnar_lanes(units, lanes);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(results.len(), 9);
-    after - before
-}
-
-/// The lane engine's interleaved loop must not allocate per instruction
-/// either: its per-lane decode blocks and vpn columns are allocated once
-/// per lane (covered by both counts), so a longer trace may not add
-/// allocations. 9 units at width 4 exercises lane retirement and refill
-/// (three waves) inside the measured window.
-#[test]
-fn lane_engine_does_not_allocate_per_instruction() {
-    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let config = SimConfig::default();
-    let short = allocs_for_lane_run(&config, 4_000, 4);
-    let long = allocs_for_lane_run(&config, 40_000, 4);
-    assert_eq!(
-        long, short,
-        "lane engine allocates per instruction: {short} allocations over 4k instructions \
-         vs {long} over 40k"
-    );
 }
 
 /// Allocation count of replaying a prebuilt one-configuration event
@@ -140,7 +113,7 @@ fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
     let stream =
         chirp_sim::FactoredTrace::build(config, &trace, config.warmup_fraction, &sig_config);
     let built: Vec<_> = policies.iter().map(|p| p.build_dispatch(config.tlb.l2, 7)).collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let results: Vec<_> = built
         .into_iter()
         .map(|policy| {
@@ -151,7 +124,7 @@ fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
             backend.finish_result(window)
         })
         .collect();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(results.len(), 9);
     after - before
 }
@@ -161,7 +134,6 @@ fn allocs_for_factored_replay(config: &SimConfig, instructions: usize) -> u64 {
 /// single allocation over the short one.
 #[test]
 fn factored_replay_does_not_allocate_per_instruction() {
-    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let config = SimConfig::default();
     let short = allocs_for_factored_replay(&config, 4_000);
     let long = allocs_for_factored_replay(&config, 40_000);
@@ -181,9 +153,9 @@ fn allocs_for_policy_group(config: &SimConfig, instructions: usize) -> u64 {
     let trace = suite[0].generate_packed(instructions);
     let policies = lineup9();
     let kinds: Vec<&PolicyKind> = policies.iter().collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let results = chirp_sim::run_policy_group(config, &kinds, suite[0].seed, &trace, true);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(results.len(), 9);
     after - before
 }
@@ -193,7 +165,6 @@ fn allocs_for_policy_group(config: &SimConfig, instructions: usize) -> u64 {
 /// allocation over 40K (ten).
 #[test]
 fn policy_group_allocates_per_group_not_per_chunk() {
-    let _counter = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let config = SimConfig::default();
     let short = allocs_for_policy_group(&config, 40_000);
     let long = allocs_for_policy_group(&config, 400_000);

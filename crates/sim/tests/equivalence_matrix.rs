@@ -1,37 +1,35 @@
-//! The tentpole equivalence gates for the fast execution paths.
+//! The equivalence gates for the fast execution paths.
 //!
-//! Three layers, all pinning bit-identical `RunResult`s (which embed the
-//! measured `TlbStats`), L2 totals and CHiRP's internal counters:
+//! Two layers, all pinning bit-identical `RunResult`s (which embed the
+//! measured `TlbStats`), L2 totals and CHiRP's internal counters and
+//! table:
 //!
-//! 1. **Lane matrix** (always on): the multi-lane software-pipelined
-//!    engine ([`chirp_sim::run_columnar_lanes`]) must reproduce a
-//!    sequential `run_columnar` of every unit, for every in-tree policy
-//!    on suite benchmarks, across lane widths (including widths that do
-//!    not divide the unit count) and warmup fractions that cut
-//!    mid-chunk.
-//! 2. **Factored matrix** (always on): the shared front-end +
-//!    per-policy replay back-ends ([`chirp_sim::run_factored_group`],
-//!    materialized and streamed) must reproduce the sequential
-//!    `run_columnar` of every unit, across warmup cuts, chunk sizes,
-//!    signature-config mismatches and wrong-path-pollution
-//!    configurations — plus the policy-invariance gate: the front-end
-//!    event stream is byte-identical no matter which policy (if any)
-//!    consumes it. The group-aware layer runs lineup9 through the
-//!    production entries (`run_policy_group`, `run_stream_policy_group`),
-//!    pins that the lineup's front end emits no control events, that a
-//!    group holding a conservative-hint policy still replays exactly,
-//!    and that history policies fed `supply_history` decide exactly as
-//!    when fed `on_branch`.
-//! 3. **Legacy shim** (behind the `legacy-dyn` feature): the retired
-//!    dynamic-dispatch path (`Simulator::new` over
-//!    `Box<dyn TlbReplacementPolicy>` + per-record `run`) must agree
-//!    with the monomorphized columnar path — run via
-//!    `cargo test --features legacy-dyn` (CI does) to prove the shim.
+//! 1. **Oracle layer**: the columnar hot loop (`Simulator::run_columnar`,
+//!    the path every single-policy group takes) must reproduce the
+//!    per-record oracle (`Simulator::run` over the flat trace, same
+//!    `PolicyDispatch`) for every in-tree policy on suite benchmarks, at
+//!    warmup fractions that cut mid-chunk, on the empty trace and under
+//!    random warmup cuts and lengths. Single-policy groups, materialized
+//!    and streamed, and CHiRP's state after a streamed run must equal the
+//!    oracle too. The streamed single-simulator path
+//!    (`Simulator::run_stream`) must equal `run_columnar` at any chunk
+//!    size.
+//! 2. **Factored matrix**: the shared front-end + per-policy replay
+//!    back-ends ([`chirp_sim::run_factored_group`], materialized and
+//!    streamed) must reproduce the `run_columnar` of every unit, across
+//!    warmup cuts, chunk sizes, signature-config mismatches and
+//!    wrong-path-pollution configurations — plus the policy-invariance
+//!    gate: the front-end event stream is byte-identical no matter which
+//!    policy (if any) consumes it. The group-aware layer runs lineup9
+//!    through the production entries (`run_policy_group`,
+//!    `run_stream_policy_group`), pins that the lineup's front end emits
+//!    no control events, that a group holding a conservative-hint policy
+//!    still replays exactly, and that history policies fed
+//!    `supply_history` decide exactly as when fed `on_branch`.
 
 use chirp_core::{Chirp, ChirpConfig, PredictionTable};
 use chirp_sim::{
-    run_columnar_lanes, EventSegment, FrontEnd, LaneUnit, PolicyKind, RunResult, SimConfig,
-    Simulator, StreamLayout,
+    EventSegment, FrontEnd, PolicyKind, RunResult, SimConfig, Simulator, StreamLayout,
 };
 use chirp_tlb::policies::{Ghrp, GhrpConfig, PerceptronConfig, PerceptronReuse};
 use chirp_tlb::{
@@ -39,7 +37,7 @@ use chirp_tlb::{
     TranslationKind,
 };
 use chirp_trace::suite::{build_suite, SuiteConfig};
-use chirp_trace::{BranchClass, PackedTrace};
+use chirp_trace::{BranchClass, PackedTrace, TraceRecord};
 use proptest::prelude::*;
 
 const INSTRUCTIONS: usize = 30_000;
@@ -89,108 +87,115 @@ fn columnar_path(
     outcome_of(sim, result)
 }
 
-/// Runs one unit per (trace, policy) pair through the lane engine at the
-/// given width and returns each unit's outcome, in input order.
-fn lane_path(
-    pairs: &[(&PackedTrace, &PolicyKind, u64)],
+/// The per-record oracle: `Simulator::run` over the flat trace.
+fn oracle_path(
+    policy: &PolicyKind,
     config: &SimConfig,
-    lanes: usize,
-) -> Vec<RunResult> {
-    let units = pairs
-        .iter()
-        .map(|(trace, policy, seed)| {
-            LaneUnit::new(
-                Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, *seed)),
-                trace,
-                config.warmup_fraction,
-            )
-        })
-        .collect();
-    run_columnar_lanes(units, lanes)
+    trace: &[TraceRecord],
+    seed: u64,
+) -> PathOutcome {
+    let mut sim = Simulator::with_policy(config, policy.build_dispatch(config.tlb.l2, seed));
+    let result = sim.run(trace, config.warmup_fraction);
+    outcome_of(sim, result)
 }
 
-/// The tentpole gate: every (benchmark × policy) unit through the lane
-/// engine, at widths 1/2/4/8, must be bit-identical to its sequential
-/// `run_columnar`. The 9-policy × `BENCHMARKS` grid gives 36 units, so
-/// widths 8 and (after retirements) 4 exercise unit counts that do not
-/// divide the lane width and traces retiring mid-flight.
+/// The oracle gate: every lineup9 policy on every suite benchmark, at
+/// warmup 0, a mid-chunk cut, one half and 1.0: `run_columnar` over the
+/// packed trace must be bit-identical to the per-record oracle over the
+/// flat trace — run totals, L2 stats and CHiRP's counters and table.
 #[test]
-fn lane_engine_matches_sequential_for_every_policy_and_benchmark() {
+fn oracle_columnar_matches_per_record_for_every_policy_and_benchmark() {
     let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
-    let config = SimConfig::default();
     let policies = lineup9();
     assert_eq!(policies.len(), 9);
 
-    let traces: Vec<(String, u64, PackedTrace)> = suite
-        .iter()
-        .map(|b| (b.name.to_string(), b.seed, b.generate_packed(INSTRUCTIONS)))
-        .collect();
-    let mut pairs = Vec::new();
-    let mut expected = Vec::new();
-    for (name, seed, trace) in &traces {
-        for policy in &policies {
-            pairs.push((trace, policy, *seed));
-            expected.push((
-                format!("{} on {}", policy.name(), name),
-                columnar_path(policy, &config, trace, *seed),
-            ));
-        }
-    }
-    for lanes in [1, 2, 4, 8] {
-        let got = lane_path(&pairs, &config, lanes);
-        for (result, (label, want)) in got.into_iter().zip(&expected) {
-            assert_eq!(result, want.result, "RunResult diverged at lanes={lanes}: {label}");
+    for bench in &suite {
+        let flat = bench.generate(INSTRUCTIONS);
+        let packed = bench.generate_packed(INSTRUCTIONS);
+        for warmup in [0.0, 0.1337, 0.5, 1.0] {
+            let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
+            for policy in &policies {
+                let want = oracle_path(policy, &config, &flat, bench.seed);
+                let got = columnar_path(policy, &config, &packed, bench.seed);
+                assert_eq!(
+                    got,
+                    want,
+                    "run_columnar diverged from the oracle: {} on {} at warmup {warmup}",
+                    policy.name(),
+                    bench.name
+                );
+                if matches!(policy, PolicyKind::Chirp(_)) {
+                    assert!(got.chirp.is_some(), "CHiRP counters must be reachable");
+                }
+            }
         }
     }
 }
 
-/// Lane-engine policy state must match too, not just the run totals: the
-/// CHiRP counters and L2 stats of a laned unit agree with sequential.
+/// The empty trace: both paths measure nothing, agree on every field and
+/// do not panic, whatever the warmup fraction.
+#[test]
+fn oracle_columnar_handles_empty_trace() {
+    let empty = PackedTrace::from_records(&[]);
+    for warmup in [0.0, 0.5, 1.0] {
+        let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
+        for policy in &lineup9() {
+            let got = columnar_path(policy, &config, &empty, 0);
+            assert_eq!(got, oracle_path(policy, &config, &[], 0), "{}", policy.name());
+            assert_eq!(got.result.instructions, 0, "empty trace must measure zero instructions");
+        }
+    }
+}
+
+/// Single-policy groups, which the lane engine ran at width 1 before it
+/// was deleted and which now run `run_columnar` (materialized) or
+/// `run_stream` (streamed): every lineup9 policy on every suite benchmark,
+/// as a group of one through `run_policy_group` and
+/// `run_stream_policy_group`, must equal the per-record oracle. The name
+/// is the lane-engine gate's, since this test takes over its role.
+#[test]
+fn lane_engine_matches_sequential_for_every_policy_and_benchmark() {
+    let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
+    let policies = lineup9();
+    for bench in &suite {
+        let flat = bench.generate(INSTRUCTIONS);
+        let packed = bench.generate_packed(INSTRUCTIONS);
+        for warmup in [0.0, 0.1337] {
+            let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
+            for policy in &policies {
+                let want = oracle_path(policy, &config, &flat, bench.seed).result;
+                let label = format!("{} on {} at warmup {warmup}", policy.name(), bench.name);
+                let got =
+                    chirp_sim::run_policy_group(&config, &[policy], bench.seed, &packed, true);
+                assert_eq!(got, vec![want.clone()], "single-policy group diverged: {label}");
+                let mut stream = bench.stream(INSTRUCTIONS, 977);
+                let got =
+                    chirp_sim::run_stream_policy_group(&config, &[policy], bench.seed, &mut stream)
+                        .expect("generator stream");
+                assert_eq!(got, vec![want], "streamed single-policy group diverged: {label}");
+            }
+        }
+    }
+}
+
+/// Policy state must match too, not just the run totals: CHiRP's counters,
+/// prediction table and L2 stats after a single-simulator streamed run
+/// (`Simulator::run_stream`, the streamed single-policy path) agree with
+/// the per-record oracle's.
 #[test]
 fn lane_engine_preserves_policy_state() {
     let suite = build_suite(&SuiteConfig { benchmarks: 2 });
     let config = SimConfig::default();
     let policy = PolicyKind::Chirp(ChirpConfig::default());
-    let traces: Vec<PackedTrace> = suite.iter().map(|b| b.generate_packed(INSTRUCTIONS)).collect();
-
-    let units = traces
-        .iter()
-        .zip(&suite)
-        .map(|(trace, bench)| {
-            LaneUnit::new(
-                Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, bench.seed)),
-                trace,
-                config.warmup_fraction,
-            )
-        })
-        .collect();
-    let laned = chirp_sim::run_columnar_lanes_outcomes(units, 2);
-    for ((trace, bench), (result, sim)) in traces.iter().zip(&suite).zip(laned) {
+    for bench in &suite {
+        let mut sim =
+            Simulator::with_policy(&config, policy.build_dispatch(config.tlb.l2, bench.seed));
+        let mut stream = bench.stream(INSTRUCTIONS, 4_096);
+        let result = sim.run_stream(&mut stream, config.warmup_fraction).expect("generator stream");
         let got = outcome_of(sim, result);
-        let want = columnar_path(&policy, &config, trace, bench.seed);
+        let want = oracle_path(&policy, &config, &bench.generate(INSTRUCTIONS), bench.seed);
         assert_eq!(got, want, "policy state diverged on {}", bench.name);
         assert!(got.chirp.is_some(), "CHiRP counters must be reachable");
-    }
-}
-
-/// An empty trace, a warmup-only unit and a normal unit must coexist in
-/// one lane group without panicking or diverging.
-#[test]
-fn lane_engine_handles_empty_and_degenerate_units() {
-    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-    let bench = &suite[0];
-    let trace = bench.generate_packed(10_000);
-    let empty = PackedTrace::from_records(&[]);
-    let config = SimConfig::default();
-    let policy = PolicyKind::Lru;
-
-    let pairs =
-        [(&trace, &policy, bench.seed), (&empty, &policy, 0), (&trace, &policy, bench.seed)];
-    for lanes in [1, 2, 3, 8] {
-        let got = lane_path(&pairs, &config, lanes);
-        assert_eq!(got[0], columnar_path(&policy, &config, &trace, bench.seed).result);
-        assert_eq!(got[1].instructions, 0, "empty trace must measure zero instructions");
-        assert_eq!(got[0], got[2], "identical units must produce identical results");
     }
 }
 
@@ -198,31 +203,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random warmup fractions (cutting mid-chunk at arbitrary record
-    /// indices, including at lane-burst boundaries), random lane widths
-    /// and random trace lengths straddling the 4096-record chunk size:
-    /// every laned unit stays bit-identical to its sequential run.
+    /// indices) and random trace lengths straddling the 4096-record chunk
+    /// size: `run_columnar` stays bit-identical to the per-record oracle
+    /// for every lineup9 policy.
     #[test]
-    fn lane_engine_matches_sequential_under_random_warmup_cuts(
+    fn oracle_columnar_matches_per_record_under_random_warmup_cuts(
         warmup_pm in 0u32..1001,
-        lanes in 1usize..9,
-        lens in proptest::collection::vec(1usize..9_000, 1..6),
+        len in 1usize..9_000,
     ) {
         let warmup = f64::from(warmup_pm) / 1000.0;
         let suite = build_suite(&SuiteConfig { benchmarks: 1 });
         let bench = &suite[0];
         let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
-        let policies = lineup9();
-        let traces: Vec<PackedTrace> =
-            lens.iter().map(|&n| bench.generate_packed(n)).collect();
-        let pairs: Vec<(&PackedTrace, &PolicyKind, u64)> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t, &policies[i % policies.len()], bench.seed))
-            .collect();
-        let got = lane_path(&pairs, &config, lanes);
-        for ((trace, policy, seed), result) in pairs.iter().zip(got) {
-            let want = columnar_path(policy, &config, trace, *seed);
-            prop_assert_eq!(&result, &want.result, "lanes={}, warmup={}", lanes, warmup);
+        let flat = bench.generate(len);
+        let packed = bench.generate_packed(len);
+        for policy in &lineup9() {
+            let want = oracle_path(policy, &config, &flat, bench.seed);
+            let got = columnar_path(policy, &config, &packed, bench.seed);
+            prop_assert_eq!(
+                got, want,
+                "policy={} len={} warmup={}", policy.name(), len, warmup
+            );
         }
     }
 }
@@ -269,32 +270,6 @@ fn streamed_matches_materialized_for_every_policy_and_benchmark() {
                     bench.name
                 );
             }
-        }
-    }
-}
-
-/// Lockstep streaming — several policies sharing one stream pass — must
-/// equal each policy's independent materialized run, including policy
-/// state.
-#[test]
-fn lockstep_stream_matches_independent_materialized_runs() {
-    let suite = build_suite(&SuiteConfig { benchmarks: 2 });
-    let config = SimConfig::default();
-    let policies = lineup9();
-
-    for bench in &suite {
-        let trace = bench.generate_packed(INSTRUCTIONS);
-        let mut sims: Vec<_> = policies
-            .iter()
-            .map(|p| Simulator::with_policy(&config, p.build_dispatch(config.tlb.l2, bench.seed)))
-            .collect();
-        let mut stream = bench.stream(INSTRUCTIONS, 1_111);
-        let results =
-            chirp_sim::run_stream_units(&mut sims, &mut stream, config.warmup_fraction).unwrap();
-        for ((policy, sim), result) in policies.iter().zip(sims).zip(results) {
-            let got = outcome_of(sim, result);
-            let want = columnar_path(policy, &config, &trace, bench.seed);
-            assert_eq!(got, want, "lockstep diverged: {} on {}", policy.name(), bench.name);
         }
     }
 }
@@ -669,14 +644,9 @@ fn group_runner_paths_match_columnar_for_lineup9() {
             );
             for chunk in [977, 4_096, INSTRUCTIONS + 1] {
                 let mut stream = bench.stream(INSTRUCTIONS, chunk);
-                let got = chirp_sim::run_stream_policy_group(
-                    &config,
-                    &kinds,
-                    bench.seed,
-                    &mut stream,
-                    true,
-                )
-                .expect("generator stream");
+                let got =
+                    chirp_sim::run_stream_policy_group(&config, &kinds, bench.seed, &mut stream)
+                        .expect("generator stream");
                 assert_eq!(
                     got, wants,
                     "streamed group diverged on {} at warmup {warmup}, chunk {chunk}",
@@ -865,72 +835,5 @@ proptest! {
             supplied.policy().prediction_table_accesses(),
             driven.policy().prediction_table_accesses()
         );
-    }
-}
-
-/// The retired dynamic-dispatch path must still agree with the columnar
-/// path while the `legacy-dyn` shim exists.
-#[cfg(feature = "legacy-dyn")]
-mod legacy_shim {
-    use super::*;
-
-    fn legacy_path(
-        policy: &PolicyKind,
-        config: &SimConfig,
-        trace: &PackedTrace,
-        seed: u64,
-    ) -> PathOutcome {
-        let mut sim = Simulator::new(config, policy.build(config.tlb.l2, seed));
-        let result = sim.run(trace, config.warmup_fraction);
-        l2_outcome(result, sim.tlbs().l2())
-    }
-
-    #[test]
-    fn columnar_dispatch_matches_legacy_for_every_policy_and_benchmark() {
-        let suite = build_suite(&SuiteConfig { benchmarks: BENCHMARKS });
-        let config = SimConfig::default();
-        let policies = lineup9();
-
-        for bench in &suite {
-            let trace = bench.generate_packed(INSTRUCTIONS);
-            for policy in &policies {
-                let legacy = legacy_path(policy, &config, &trace, bench.seed);
-                let columnar = columnar_path(policy, &config, &trace, bench.seed);
-                let label = format!("{} on {}", policy.name(), bench.name);
-                assert_eq!(columnar, legacy, "paths diverged: {label}");
-                if matches!(policy, PolicyKind::Chirp(_)) {
-                    assert!(columnar.chirp.is_some(), "CHiRP counters must be reachable: {label}");
-                }
-            }
-        }
-    }
-
-    /// Warmup edge cases: 0% (whole trace measured), 100% (empty window)
-    /// and a fraction that cuts mid-chunk must all agree between the paths.
-    #[test]
-    fn columnar_matches_legacy_at_warmup_extremes() {
-        let suite = build_suite(&SuiteConfig { benchmarks: 1 });
-        let bench = &suite[0];
-        let trace = bench.generate_packed(10_000);
-        let policy = PolicyKind::Chirp(ChirpConfig::default());
-        for warmup in [0.0, 0.1337, 0.5, 1.0] {
-            let config = SimConfig { warmup_fraction: warmup, ..SimConfig::default() };
-            let legacy = legacy_path(&policy, &config, &trace, bench.seed);
-            let columnar = columnar_path(&policy, &config, &trace, bench.seed);
-            assert_eq!(columnar, legacy, "warmup={warmup}");
-        }
-    }
-
-    /// An empty trace must produce the same (all-zero window) result on
-    /// both paths without panicking.
-    #[test]
-    fn columnar_handles_empty_trace() {
-        let trace = PackedTrace::from_records(&[]);
-        let config = SimConfig::default();
-        let policy = PolicyKind::Lru;
-        let legacy = legacy_path(&policy, &config, &trace, 0);
-        let columnar = columnar_path(&policy, &config, &trace, 0);
-        assert_eq!(columnar.result, legacy.result);
-        assert_eq!(columnar.result.instructions, 0);
     }
 }

@@ -356,15 +356,19 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
     result
 }
 
-/// Appends `line` + newline to `path`, creating it if needed.
+/// Appends `line` + newline to `path`, creating it if needed. Line and
+/// newline leave in one `write` on an `O_APPEND` handle, so appenders
+/// holding their own handles to one file never interleave inside a line.
 pub(crate) fn append_line(path: &Path, line: &str) -> Result<(), StoreError> {
+    let mut record = String::with_capacity(line.len() + 1);
+    record.push_str(line);
+    record.push('\n');
     let mut f = fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .map_err(|e| StoreError::io("open for append", e))?;
-    f.write_all(line.as_bytes()).map_err(|e| StoreError::io("append line", e))?;
-    f.write_all(b"\n").map_err(|e| StoreError::io("append newline", e))
+    f.write_all(record.as_bytes()).map_err(|e| StoreError::io("append line", e))
 }
 
 #[cfg(test)]

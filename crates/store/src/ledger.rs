@@ -7,9 +7,10 @@
 //! leaves key computation and record mapping to the simulation layer, so
 //! this crate never depends on simulator types.
 //!
-//! Appends are flushed line-at-a-time; a torn final line (interrupted
-//! write) is skipped on load, so a crash mid-append loses at most the run
-//! being written, never the ledger.
+//! Appends are flushed line-at-a-time, each line in a single write, so
+//! concurrent appenders never tear each other's lines; a torn final line
+//! (interrupted write) is skipped on load, so a crash mid-append loses at
+//! most the run being written, never the ledger.
 
 use crate::archive::append_line;
 use crate::hash::{hex16, parse_hex16};
@@ -187,6 +188,39 @@ mod tests {
         assert_eq!(lines[2].key, 1);
         assert_eq!(lines[2].record.f64_field("mpki"), Some(2.0));
         assert!(RunLedger::scan(&root.join("absent")).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Several threads, each appending through its own ledger handle, hit
+    /// one file at once: every line must come back whole. Each record
+    /// carries a 4 KiB field, so a line that left in more than one write
+    /// would give the other appenders a wide window to tear it.
+    #[test]
+    fn concurrent_appenders_never_tear_a_line() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 200;
+        let root = tmpdir("concurrent");
+        let pad = "x".repeat(4096);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (root, pad) = (&root, &pad);
+                scope.spawn(move || {
+                    let mut ledger = RunLedger::open(root).unwrap();
+                    for i in 0..PER_THREAD {
+                        let mut rec = record("lru", i as f64);
+                        rec.set_str("pad", pad);
+                        ledger.append(t * PER_THREAD + i, rec).unwrap();
+                    }
+                });
+            }
+        });
+        let text = fs::read_to_string(root.join("runs.jsonl")).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len() as u64, THREADS * PER_THREAD, "one line per append");
+        for line in &lines {
+            assert!(JsonObject::parse(line).is_ok(), "torn line: {}", &line[..line.len().min(80)]);
+        }
+        assert_eq!(RunLedger::open(&root).unwrap().len() as u64, THREADS * PER_THREAD);
         let _ = fs::remove_dir_all(&root);
     }
 

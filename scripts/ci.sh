@@ -32,41 +32,23 @@ echo "==> perfbench tests (its own workspace, built against the crates' public A
 # only surface when the benchmark runs.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "==> lane + factored equivalence matrix (--release, plus the legacy-dyn shim)"
+echo "==> oracle + factored equivalence matrix (--release)"
 # The engines' bit-identity gates rerun under the optimized profile: the
-# fast paths they pin (branchless probe, packed order word, lane
-# interleave, SWAR burst signature/set hashing in the shared front end)
-# only take their real shape with optimizations on. The test file carries
-# the lane matrix AND the factored front-end/back-end matrix.
+# fast paths they pin (branchless probe, packed order word, SWAR burst
+# signature/set hashing in the shared front end) only take their real
+# shape with optimizations on. The test file carries the oracle layer
+# (run_columnar against the per-record Simulator::run) AND the factored
+# front-end/back-end matrix.
 cargo test --release -q -p chirp-sim --test equivalence_matrix
-cargo test --release -q -p chirp-sim --test equivalence_matrix --features legacy-dyn
 
 echo "==> factored-default gate (lineup groups must share one front end)"
 # Suite runs at lineup width > 1 must dispatch through the shared
-# front-end pass by default: the runner's group dispatcher routes
-# multi-policy groups to the factored engine, and RunnerConfig's Default
-# turns the knob on. If either grep fails, a refactor silently dropped
-# the default back to N full simulations per trace.
-grep -q 'factored && kinds.len() > 1' crates/sim/src/runner.rs || {
-    echo "ERROR: run_policy_group no longer routes multi-policy groups through the factored engine" >&2
-    exit 1
-}
-grep -q 'factored: true' crates/sim/src/runner.rs || {
-    echo "ERROR: RunnerConfig::default() no longer enables the factored engine" >&2
-    exit 1
-}
-
-echo "==> legacy-dyn gate (dynamic dispatch must stay behind the feature)"
-# Simulator::new and PolicyKind::build exist only under the legacy-dyn
-# feature, so the default-feature builds above already reject ungated
-# callers at compile time. This check is the belt to that suspender:
-# every file with a Simulator::new call site must carry the cfg gate.
-ungated=""
-while IFS= read -r f; do
-    grep -q 'feature = "legacy-dyn"' "$f" || ungated="$ungated $f"
-done < <(grep -rl --include='*.rs' 'Simulator::new(' crates examples tests 2>/dev/null || true)
-if [[ -n "$ungated" ]]; then
-    echo "ERROR: Simulator::new used without a legacy-dyn feature gate in:$ungated" >&2
+# front-end pass: both group dispatchers (run_policy_group and
+# run_stream_policy_group) choose the factored engine from the group
+# size alone. If the count drops, a refactor silently sent multi-policy
+# groups back to N full simulations per trace.
+if [[ "$(grep -c 'if kinds.len() > 1 {' crates/sim/src/runner.rs)" -ne 2 ]]; then
+    echo "ERROR: a group dispatcher no longer routes multi-policy groups through the factored engine" >&2
     exit 1
 fi
 
