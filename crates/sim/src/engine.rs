@@ -12,7 +12,6 @@ use crate::config::SimConfig;
 use crate::metrics::RunResult;
 use chirp_branch::BranchUnit;
 use chirp_mem::MemoryHierarchy;
-use chirp_telemetry::{EpochRow, EpochSampler};
 use chirp_tlb::{TlbHierarchy, TlbReplacementPolicy, TlbStats, TranslationKind};
 use chirp_trace::{
     vpn, InstrKind, PackedTrace, StreamError, TraceChunk, TraceRecord, TraceSource, TraceStream,
@@ -31,6 +30,68 @@ type Window = (u64, u64, TlbStats);
 /// `len`-record trace.
 pub(crate) fn warmup_cut(len: usize, warmup_fraction: f64) -> usize {
     (((len as f64) * warmup_fraction.clamp(0.0, 1.0)) as usize).min(len)
+}
+
+/// One step of [`Cuts::feed`]: records to run, or a cut to make.
+pub(crate) enum Piece<'a> {
+    /// Records between two cuts (empty beside a cut on a chunk edge).
+    Records(TraceChunk<'a>),
+    /// The measured window opens here.
+    Warmup,
+    /// An epoch of this many measured records closes here.
+    Epoch(u64),
+}
+
+/// Where a run's chunks are cut: at the warmup cut ([`warmup_cut`]), then,
+/// with epochs on, every `epoch` measured records after it. Every chunk
+/// driver feeds its trace through here, so window and epoch boundaries
+/// are decided in one place; the position check runs once per chunk and
+/// once per cut, never once per record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cuts {
+    /// Records fed so far.
+    pos: usize,
+    /// Position of the next cut; `usize::MAX` once none remain.
+    next: usize,
+    /// Position of the last cut, once the warmup cut is made.
+    last: Option<usize>,
+    /// Measured records per epoch; 0 with epochs off.
+    epoch: usize,
+}
+
+impl Cuts {
+    /// Cuts for a `len`-record trace; `epoch` is the epoch length when
+    /// epochs are on.
+    pub(crate) fn new(len: usize, warmup_fraction: f64, epoch: Option<u64>) -> Cuts {
+        let epoch = epoch.map_or(0, |e| usize::try_from(e).unwrap_or(usize::MAX));
+        Cuts { pos: 0, next: warmup_cut(len, warmup_fraction), last: None, epoch }
+    }
+
+    /// Hands every [`CHUNK_SIZE`] chunk of `batch` to `on`, split at each
+    /// cut that falls inside it.
+    #[inline]
+    pub(crate) fn feed(&mut self, batch: &PackedTrace, mut on: impl FnMut(Piece<'_>)) {
+        for chunk in batch.chunks(CHUNK_SIZE) {
+            let mut rest = chunk;
+            while self.next <= self.pos + rest.len() {
+                let (head, tail) = rest.split_at(self.next - self.pos);
+                on(Piece::Records(head));
+                self.pos = self.next;
+                on(self.last.map_or(Piece::Warmup, |last| Piece::Epoch((self.pos - last) as u64)));
+                self.last = Some(self.pos);
+                self.next =
+                    if self.epoch == 0 { usize::MAX } else { self.pos.saturating_add(self.epoch) };
+                rest = tail;
+            }
+            self.pos += rest.len();
+            on(Piece::Records(rest));
+        }
+    }
+
+    /// Measured records since the last cut: the final, partial epoch.
+    pub(crate) fn pending(&self) -> u64 {
+        self.last.map_or(0, |last| (self.pos - last) as u64)
+    }
 }
 
 /// The assembled machine model.
@@ -142,43 +203,25 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
     /// are exactly the packed records in order, and warmup is cut at the
     /// same instruction index (mid-chunk via [`TraceChunk::split_at`]).
     pub fn run_columnar(&mut self, trace: &PackedTrace, warmup_fraction: f64) -> RunResult {
-        let warmup = warmup_cut(trace.len(), warmup_fraction);
+        let mut cuts = Cuts::new(trace.len(), warmup_fraction, None);
         let mut window = None;
-        let mut pos = 0usize;
-        for chunk in trace.chunks(CHUNK_SIZE) {
-            self.step_chunk_at(&chunk, pos, warmup, &mut window);
-            pos += chunk.len();
-        }
+        cuts.feed(trace, |piece| self.take(piece, &mut window));
         let window = window.unwrap_or_else(|| self.window_start());
         self.finish_result(window)
     }
 
-    /// Steps one columnar chunk that starts at record `pos`, opening the
-    /// measured window once `warmup` records have been stepped (mid-chunk
-    /// via [`TraceChunk::split_at`]).
+    /// Steps every record of a chunk piece, or opens the measured window
+    /// at the warmup cut (a simulator cuts no epochs).
     #[inline]
-    fn step_chunk_at(
-        &mut self,
-        chunk: &TraceChunk<'_>,
-        pos: usize,
-        warmup: usize,
-        window: &mut Option<Window>,
-    ) {
-        if window.is_none() && warmup <= pos + chunk.len() {
-            let (head, tail) = chunk.split_at(warmup - pos);
-            self.step_chunk(&head);
-            *window = Some(self.window_start());
-            self.step_chunk(&tail);
-        } else {
-            self.step_chunk(chunk);
-        }
-    }
-
-    /// Steps every record of one columnar chunk.
-    #[inline]
-    fn step_chunk(&mut self, chunk: &TraceChunk<'_>) {
-        for rec in chunk.records() {
-            self.step(&rec);
+    fn take(&mut self, piece: Piece<'_>, window: &mut Option<Window>) {
+        match piece {
+            Piece::Records(chunk) => {
+                for rec in chunk.records() {
+                    self.step(&rec);
+                }
+            }
+            Piece::Warmup => *window = Some(self.window_start()),
+            Piece::Epoch(_) => {}
         }
     }
 
@@ -199,57 +242,13 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
         stream: &mut S,
         warmup_fraction: f64,
     ) -> Result<RunResult, StreamError> {
-        let warmup = warmup_cut(stream.len(), warmup_fraction);
+        let mut cuts = Cuts::new(stream.len(), warmup_fraction, None);
         let mut window = None;
-        let mut pos = 0usize;
         while let Some(batch) = stream.next_batch()? {
-            for chunk in batch.chunks(CHUNK_SIZE) {
-                self.step_chunk_at(&chunk, pos, warmup, &mut window);
-                pos += chunk.len();
-            }
+            cuts.feed(&batch, |piece| self.take(piece, &mut window));
         }
         let window = window.unwrap_or_else(|| self.window_start());
         Ok(self.finish_result(window))
-    }
-
-    /// Runs the whole trace like [`run`](Self::run), additionally sampling
-    /// telemetry counters every `epoch_instructions` measured instructions.
-    ///
-    /// Returns the identical [`RunResult`] that `run` would produce — the
-    /// instrumentation is strictly observational: the per-epoch probes go
-    /// through `&self` accessors (policy state, occupancy) and the
-    /// dead-outcome scoreboard is shadow state on the L2 TLB that never
-    /// feeds back into replacement decisions. The equivalence is pinned by
-    /// a suite-level test in the runner.
-    ///
-    /// Epochs cover the measured window only (warmup is excluded, like the
-    /// run totals); a trace whose measured length is not a multiple of the
-    /// epoch size ends with one shorter row. Deltas follow the
-    /// [`crate::telemetry::COUNTER_SCHEMA`] order; gauge 0 is L2 TLB
-    /// occupancy at the epoch boundary.
-    pub fn run_instrumented<T: TraceSource + ?Sized>(
-        &mut self,
-        trace: &T,
-        warmup_fraction: f64,
-        epoch_instructions: u64,
-    ) -> (RunResult, Vec<EpochRow>) {
-        self.tlbs.l2_mut().enable_outcome_tracking();
-        let mut records = trace.records();
-        for rec in records.by_ref().take(warmup_cut(trace.len(), warmup_fraction)) {
-            self.step(&rec);
-        }
-        let window = self.window_start();
-        let mut sampler = EpochSampler::new(epoch_instructions, self.telemetry_counters());
-        for rec in records {
-            self.step(&rec);
-            if sampler.tick() {
-                let counters = self.telemetry_counters();
-                sampler.sample(&counters, vec![self.tlbs.l2().occupancy()]);
-            }
-        }
-        let counters = self.telemetry_counters();
-        let rows = sampler.finish(&counters, vec![self.tlbs.l2().occupancy()]);
-        (self.finish_result(window), rows)
     }
 
     /// Snapshot of machine state at the start of the measured window.
@@ -277,26 +276,6 @@ impl<P: TlbReplacementPolicy> Simulator<P> {
             l2_accesses_total: stats1.accesses(),
             efficiency: self.tlbs.l2().efficiency(),
         }
-    }
-
-    /// Absolute telemetry counter values, in
-    /// [`crate::telemetry::COUNTER_SCHEMA`] order.
-    fn telemetry_counters(&self) -> Vec<u64> {
-        let l2 = self.tlbs.l2();
-        let stats = l2.stats();
-        let outcomes = l2.dead_outcomes();
-        vec![
-            self.cycles,
-            stats.hits,
-            stats.misses,
-            stats.cold_fills,
-            stats.dead_evictions,
-            l2.policy().prediction_table_accesses(),
-            outcomes.true_dead,
-            outcomes.false_dead,
-            outcomes.true_live,
-            outcomes.false_live,
-        ]
     }
 
     /// Total cycles so far.

@@ -46,12 +46,14 @@
 //! history left by the previous one.
 
 use crate::config::SimConfig;
-use crate::engine::{warmup_cut, CHUNK_SIZE};
+use crate::engine::{Cuts, Piece, CHUNK_SIZE};
 use crate::metrics::RunResult;
+use crate::telemetry::COUNTER_SCHEMA;
 use chirp_branch::BranchUnit;
 use chirp_core::signature::hash16;
 use chirp_core::{ChirpConfig, SignatureBuilder};
 use chirp_mem::MemoryHierarchy;
+use chirp_telemetry::{EpochRow, EpochSampler};
 use chirp_tlb::{
     HistoryColumn, L1FrontEnd, L2Tlb, PageWalker, ReplayHints, TlbAccess, TlbReplacementPolicy,
     TlbStats, TranslationKind,
@@ -343,25 +345,17 @@ impl FactoredTrace {
         warmup_fraction: f64,
         sig_config: &ChirpConfig,
     ) -> FactoredTrace {
-        let warmup = warmup_cut(trace.len(), warmup_fraction);
         let mut fe = FrontEnd::new(config, sig_config);
         let mut warm = EventSegment::default();
         let mut meas = EventSegment::default();
-        let mut in_measured = false;
-        let mut pos = 0usize;
-        for chunk in trace.chunks(CHUNK_SIZE) {
-            if !in_measured && warmup <= pos + chunk.len() {
-                let (head, tail) = chunk.split_at(warmup - pos);
-                fe.process_chunk(&head, &mut warm);
-                in_measured = true;
-                fe.process_chunk(&tail, &mut meas);
-            } else if in_measured {
-                fe.process_chunk(&chunk, &mut meas);
-            } else {
-                fe.process_chunk(&chunk, &mut warm);
+        let mut measuring = false;
+        Cuts::new(trace.len(), warmup_fraction, None).feed(trace, |piece| match piece {
+            Piece::Records(chunk) => {
+                fe.process_chunk(&chunk, if measuring { &mut meas } else { &mut warm })
             }
-            pos += chunk.len();
-        }
+            Piece::Warmup => measuring = true,
+            Piece::Epoch(_) => {}
+        });
         FactoredTrace { warmup: warm, measured: meas, sig_code: sig_config.signature_code() }
     }
 
@@ -743,6 +737,24 @@ impl<P: TlbReplacementPolicy> Backend<P> {
     pub fn l2(&self) -> &L2Tlb<P> {
         &self.l2
     }
+
+    /// Absolute telemetry counter values, in [`COUNTER_SCHEMA`] order.
+    fn telemetry_counters(&self) -> [u64; COUNTER_SCHEMA.len()] {
+        let stats = self.l2.stats();
+        let outcomes = self.l2.dead_outcomes();
+        [
+            self.cycles,
+            stats.hits,
+            stats.misses,
+            stats.cold_fills,
+            stats.dead_evictions,
+            self.l2.policy().prediction_table_accesses(),
+            outcomes.true_dead,
+            outcomes.false_dead,
+            outcomes.true_live,
+            outcomes.false_live,
+        ]
+    }
 }
 
 /// Replays one segment through every backend, block-interleaved: each
@@ -770,80 +782,101 @@ fn replay_group<P: TlbReplacementPolicy>(
     }
 }
 
-/// The chunk driver behind [`run_factored_group`] and
-/// [`run_stream_factored`]: the front end fills one reused segment per
-/// `CHUNK_SIZE` chunk, every backend replays it, and the measured window
-/// opens at the warmup cut. Everything is allocated at construction, so
-/// feeding chunks allocates nothing.
-struct GroupRun<P: TlbReplacementPolicy> {
+/// The chunk driver behind [`run_factored_group`], [`run_stream_factored`]
+/// and [`crate::run_suite_telemetry`]: the front end fills one reused
+/// segment per chunk piece between [`Cuts`], every backend replays it,
+/// the measured window opens at the warmup cut and, with epochs on, each
+/// backend's [`EpochSampler`] takes its counters at every epoch cut.
+/// Everything but the epoch rows is allocated at construction, so feeding
+/// chunks allocates nothing and sampling allocates once per epoch.
+pub(crate) struct GroupRun<P: TlbReplacementPolicy> {
     fe: FrontEnd,
     backends: Vec<Backend<P>>,
     seg: EventSegment,
     cursors: Vec<usize>,
     windows: Vec<(u64, u64, TlbStats)>,
-    window_open: bool,
-    warmup: usize,
-    pos: usize,
+    /// One per backend once the window is open, with epochs on.
+    samplers: Vec<EpochSampler>,
+    epoch: Option<u64>,
+    cuts: Cuts,
 }
 
 impl<P: TlbReplacementPolicy> GroupRun<P> {
-    fn new(
+    /// A group over a `len`-record trace; `epoch` is the epoch length
+    /// when epochs are on.
+    pub(crate) fn new(
         config: &SimConfig,
         sig_configs: &[ChirpConfig],
         policies: Vec<P>,
         len: usize,
         warmup_fraction: f64,
+        epoch: Option<u64>,
     ) -> GroupRun<P> {
         let hints: Vec<ReplayHints> = policies.iter().map(|p| p.replay_hints()).collect();
         let layout = StreamLayout::for_group(sig_configs, &hints);
-        let backends: Vec<Backend<P>> =
+        let mut backends: Vec<Backend<P>> =
             policies.into_iter().map(|p| Backend::for_layout(config, p, &layout)).collect();
+        if epoch.is_some() {
+            backends.iter_mut().for_each(|b| b.l2.enable_outcome_tracking());
+        }
         GroupRun {
             fe: FrontEnd::with_layout(config, &layout),
             seg: EventSegment::sized(&layout, CHUNK_SIZE),
             cursors: vec![0; backends.len()],
             windows: Vec::with_capacity(backends.len()),
+            samplers: Vec::new(),
             backends,
-            window_open: false,
-            warmup: warmup_cut(len, warmup_fraction),
-            pos: 0,
+            epoch,
+            cuts: Cuts::new(len, warmup_fraction, epoch),
         }
     }
 
-    /// Feeds one batch of the trace, cutting the warmup window at the
-    /// same absolute instruction `run_columnar` does.
-    fn feed(&mut self, batch: &PackedTrace) {
-        for chunk in batch.chunks(CHUNK_SIZE) {
-            if !self.window_open && self.warmup <= self.pos + chunk.len() {
-                let (head, tail) = chunk.split_at(self.warmup - self.pos);
-                self.step(&head);
-                self.open_window();
-                self.step(&tail);
-            } else {
-                self.step(&chunk);
+    /// Feeds one batch of the trace.
+    pub(crate) fn feed(&mut self, batch: &PackedTrace) {
+        let mut cuts = self.cuts;
+        cuts.feed(batch, |piece| self.take(piece));
+        self.cuts = cuts;
+    }
+
+    fn take(&mut self, piece: Piece<'_>) {
+        match piece {
+            Piece::Records(chunk) => {
+                self.seg.clear();
+                self.fe.process_chunk(&chunk, &mut self.seg);
+                replay_group(&mut self.backends, &self.seg, &mut self.cursors);
             }
-            self.pos += chunk.len();
+            Piece::Warmup => self.open_window(),
+            Piece::Epoch(instructions) => {
+                for (b, sampler) in self.backends.iter().zip(&mut self.samplers) {
+                    sampler.sample(instructions, &b.telemetry_counters(), vec![b.l2.occupancy()]);
+                }
+            }
         }
-    }
-
-    fn step(&mut self, chunk: &TraceChunk<'_>) {
-        self.seg.clear();
-        self.fe.process_chunk(chunk, &mut self.seg);
-        replay_group(&mut self.backends, &self.seg, &mut self.cursors);
     }
 
     fn open_window(&mut self) {
         self.windows.extend(self.backends.iter().map(Backend::window_start));
-        self.window_open = true;
+        if let Some(epoch) = self.epoch {
+            let baselines = self.backends.iter().map(|b| b.telemetry_counters().to_vec());
+            self.samplers.extend(baselines.map(|counters| EpochSampler::new(epoch, counters)));
+        }
     }
 
-    fn finish(mut self) -> Vec<(RunResult, Backend<P>)> {
-        if !self.window_open {
+    /// Flushes each backend's final, partial epoch and returns its rows,
+    /// in input order; none with epochs off or before the warmup cut.
+    pub(crate) fn take_epochs(&mut self) -> Vec<Vec<EpochRow>> {
+        let pending = self.cuts.pending();
+        (std::mem::take(&mut self.samplers).into_iter().zip(&self.backends))
+            .map(|(s, b)| s.finish(pending, &b.telemetry_counters(), vec![b.l2.occupancy()]))
+            .collect()
+    }
+
+    /// Closes the run: one `(result, backend)` per policy, in input order.
+    pub(crate) fn finish(mut self) -> Vec<(RunResult, Backend<P>)> {
+        if self.windows.is_empty() {
             self.open_window();
         }
-        self.backends
-            .into_iter()
-            .zip(self.windows)
+        (self.backends.into_iter().zip(self.windows))
             .map(|(backend, window)| (backend.finish_result(window), backend))
             .collect()
     }
@@ -864,7 +897,7 @@ pub fn run_factored_group<P: TlbReplacementPolicy>(
     sig_configs: &[ChirpConfig],
     policies: Vec<P>,
 ) -> Vec<(RunResult, Backend<P>)> {
-    let mut run = GroupRun::new(config, sig_configs, policies, trace.len(), warmup_fraction);
+    let mut run = GroupRun::new(config, sig_configs, policies, trace.len(), warmup_fraction, None);
     run.feed(trace);
     run.finish()
 }
@@ -885,7 +918,7 @@ pub fn run_stream_factored<P: TlbReplacementPolicy, S: TraceStream + ?Sized>(
     stream: &mut S,
     warmup_fraction: f64,
 ) -> Result<Vec<(RunResult, Backend<P>)>, StreamError> {
-    let mut run = GroupRun::new(config, sig_configs, policies, stream.len(), warmup_fraction);
+    let mut run = GroupRun::new(config, sig_configs, policies, stream.len(), warmup_fraction, None);
     while let Some(batch) = stream.next_batch()? {
         run.feed(&batch);
     }

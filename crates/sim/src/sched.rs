@@ -95,9 +95,10 @@ impl SchedulerSummary {
     }
 }
 
-/// The last summary recorded by [`run_units`] in this process, for
-/// harnesses that want to report scheduling behaviour after an experiment
-/// without threading the value through every figure helper.
+/// The last summary recorded by [`run_unit_groups`] or [`run_streamed`]
+/// in this process, for harnesses that want to report scheduling
+/// behaviour after an experiment without threading the value through
+/// every figure helper.
 pub fn last_scheduler_summary() -> Option<SchedulerSummary> {
     LAST.lock().expect("summary lock").clone()
 }
@@ -144,45 +145,27 @@ enum Task {
 ///
 /// `fetch` produces a work item's packed trace and runs **outside** the
 /// scheduler lock — callers doing archive I/O must do their own index
-/// bookkeeping under their own (briefly held) lock. `simulate` receives
-/// `(work index, policy position, trace)` and also runs unlocked.
+/// bookkeeping under their own (briefly held) lock.
+///
+/// Ready simulation tasks that share a work item's trace are claimed in
+/// groups of up to `group_width` and handed to `simulate_group` together,
+/// so the callee can run them as one shared front-end pass
+/// ([`crate::run_policy_group`]) instead of back to back. The runner
+/// passes its policy count, so a work item's missing policies form one
+/// group unless another worker claims part of it. `simulate_group`
+/// receives `(work index, policy positions, trace)`, runs unlocked and
+/// must return one result per position, in order. Grouping only ever
+/// merges tasks of the *same* work item (they share the `Arc<PackedTrace>`
+/// by construction), and any partition of a work item's tasks into groups
+/// is result-identical because the units are independent. One latency
+/// sample is recorded per group.
 ///
 /// `est_bytes` is the per-trace size estimate used for budget admission
 /// before a trace's true [`PackedTrace::resident_bytes`] is known;
 /// `budget` of `None` means unbounded. The first fetch error aborts
-/// admission and is returned after in-flight tasks drain.
-pub fn run_units<F, S, R>(
-    work: &[WorkItem],
-    threads: usize,
-    est_bytes: u64,
-    budget: Option<u64>,
-    fetch: F,
-    simulate: S,
-) -> Result<(Vec<Vec<R>>, SchedulerSummary), StoreError>
-where
-    F: Fn(&WorkItem) -> Result<PackedTrace, StoreError> + Sync,
-    S: Fn(usize, usize, &PackedTrace) -> R + Sync,
-    R: Send,
-{
-    run_unit_groups(work, threads, est_bytes, budget, 1, fetch, |w, positions, trace| {
-        positions.iter().map(|&pos| simulate(w, pos, trace)).collect()
-    })
-}
-
-/// [`run_units`] with grouped dispatch: ready simulation tasks that share
-/// a work item's trace are claimed in groups of up to `group_width` and
-/// handed to `simulate_group` together, so the callee can run them as one
-/// shared front-end pass ([`crate::run_policy_group`]) instead of back to
-/// back. The runner passes its policy count, so a work item's missing
-/// policies form one group unless another worker claims part of it.
-///
-/// `simulate_group` receives `(work index, policy positions, trace)` and
-/// must return one result per position, in order. Grouping only ever
-/// merges tasks of the *same* work item (they share the `Arc<PackedTrace>`
-/// by construction), and any partition of a work item's tasks into groups
-/// is result-identical because the units are independent — so budget
-/// admission, trace retirement and output order are exactly those of
-/// `run_units`. One latency sample is recorded per group.
+/// admission and is returned after in-flight tasks drain. The calling
+/// thread is one of the `threads` workers, so a one-thread run spawns
+/// none.
 pub fn run_unit_groups<F, S, R>(
     work: &[WorkItem],
     threads: usize,
@@ -223,126 +206,120 @@ where
     let queue_depth = Gauge::new();
     let sim_latency = Log2Histogram::new();
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let state = &state;
-            let cvar = &cvar;
-            let results = &results;
-            let fetch = &fetch;
-            let simulate_group = &simulate_group;
-            let queue_depth = &queue_depth;
-            let sim_latency = &sim_latency;
-            scope.spawn(move || loop {
-                let task = {
-                    let mut st = state.lock().expect("scheduler lock");
-                    loop {
-                        if let Some((w, pos)) = st.ready.pop_front() {
-                            // Claim up to `group_width` ready tasks that share
-                            // this task's trace. Same-item tasks are
-                            // enqueued contiguously, so a front-run scan
-                            // finds them; whatever a concurrent worker
-                            // already claimed simply isn't there.
-                            let mut group = vec![pos];
-                            while group.len() < group_width
-                                && st.ready.front().is_some_and(|&(w2, _)| w2 == w)
-                            {
-                                let (_, p) = st.ready.pop_front().expect("front checked");
-                                group.push(p);
-                            }
-                            st.active += 1;
-                            queue_depth.add(-(group.len() as i64));
-                            break Task::Sim(w, group);
-                        }
-                        if st.next < work.len() && st.error.is_none() {
-                            // Always admit when nothing is resident or in
-                            // flight — a single oversized trace must not
-                            // wedge the run.
-                            let alone = st.traces.is_empty() && st.fetching == 0;
-                            let fits = budget.is_none_or(|b| {
-                                st.resident_bytes + st.reserved_bytes + est_bytes <= b
-                            });
-                            if alone || fits {
-                                let w = st.next;
-                                st.next += 1;
-                                st.fetching += 1;
-                                st.reserved_bytes += est_bytes;
-                                st.fetch_peak = st.fetch_peak.max(st.fetching);
-                                break Task::Fetch(w);
-                            }
-                        }
-                        if st.next >= work.len()
-                            && st.fetching == 0
-                            && st.ready.is_empty()
-                            && st.active == 0
-                        {
-                            break Task::Done;
-                        }
-                        st = cvar.wait(st).expect("scheduler lock");
+    let worker = || loop {
+        let task = {
+            let mut st = state.lock().expect("scheduler lock");
+            loop {
+                if let Some((w, pos)) = st.ready.pop_front() {
+                    // Claim up to `group_width` ready tasks that share
+                    // this task's trace. Same-item tasks are
+                    // enqueued contiguously, so a front-run scan
+                    // finds them; whatever a concurrent worker
+                    // already claimed simply isn't there.
+                    let mut group = vec![pos];
+                    while group.len() < group_width
+                        && st.ready.front().is_some_and(|&(w2, _)| w2 == w)
+                    {
+                        let (_, p) = st.ready.pop_front().expect("front checked");
+                        group.push(p);
                     }
-                };
-                match task {
-                    Task::Done => return,
-                    Task::Fetch(w) => {
-                        let fetched = fetch(&work[w]);
-                        let mut st = state.lock().expect("scheduler lock");
-                        st.fetching -= 1;
-                        st.reserved_bytes -= est_bytes;
-                        match fetched {
-                            Ok(trace) => {
-                                if work[w].policies.is_empty() {
-                                    // Nothing to simulate; never resident.
-                                } else {
-                                    st.resident_bytes += trace.resident_bytes();
-                                    st.traces.insert(w, Arc::new(trace));
-                                    st.peak_traces = st.peak_traces.max(st.traces.len());
-                                    st.peak_bytes = st.peak_bytes.max(st.resident_bytes);
-                                    for pos in 0..work[w].policies.len() {
-                                        st.ready.push_back((w, pos));
-                                    }
-                                    queue_depth.add(work[w].policies.len() as i64);
-                                }
-                            }
-                            Err(e) => {
-                                if st.error.is_none() {
-                                    st.error = Some(e);
-                                }
-                                // Stop admitting; let in-flight work drain.
-                                st.next = work.len();
-                                queue_depth.add(-(st.ready.len() as i64));
-                                st.ready.clear();
-                            }
-                        }
-                        cvar.notify_all();
-                    }
-                    Task::Sim(w, group) => {
-                        let trace = {
-                            let st = state.lock().expect("scheduler lock");
-                            Arc::clone(st.traces.get(&w).expect("ready task has resident trace"))
-                        };
-                        let sim_started = Instant::now();
-                        let rs = simulate_group(w, &group, &trace);
-                        sim_latency.record(sim_started.elapsed().as_micros() as u64);
-                        drop(trace);
-                        assert_eq!(rs.len(), group.len(), "one result per group position");
-                        {
-                            let mut slots = results.lock().expect("results lock");
-                            for (&pos, r) in group.iter().zip(rs) {
-                                slots[w][pos] = Some(r);
-                            }
-                        }
-                        let mut st = state.lock().expect("scheduler lock");
-                        st.active -= 1;
-                        st.remaining[w] -= group.len();
-                        if st.remaining[w] == 0 {
-                            if let Some(t) = st.traces.remove(&w) {
-                                st.resident_bytes -= t.resident_bytes();
-                            }
-                        }
-                        cvar.notify_all();
+                    st.active += 1;
+                    queue_depth.add(-(group.len() as i64));
+                    break Task::Sim(w, group);
+                }
+                if st.next < work.len() && st.error.is_none() {
+                    // Always admit when nothing is resident or in
+                    // flight — a single oversized trace must not
+                    // wedge the run.
+                    let alone = st.traces.is_empty() && st.fetching == 0;
+                    let fits = budget
+                        .is_none_or(|b| st.resident_bytes + st.reserved_bytes + est_bytes <= b);
+                    if alone || fits {
+                        let w = st.next;
+                        st.next += 1;
+                        st.fetching += 1;
+                        st.reserved_bytes += est_bytes;
+                        st.fetch_peak = st.fetch_peak.max(st.fetching);
+                        break Task::Fetch(w);
                     }
                 }
-            });
+                if st.next >= work.len()
+                    && st.fetching == 0
+                    && st.ready.is_empty()
+                    && st.active == 0
+                {
+                    break Task::Done;
+                }
+                st = cvar.wait(st).expect("scheduler lock");
+            }
+        };
+        match task {
+            Task::Done => return,
+            Task::Fetch(w) => {
+                let fetched = fetch(&work[w]);
+                let mut st = state.lock().expect("scheduler lock");
+                st.fetching -= 1;
+                st.reserved_bytes -= est_bytes;
+                match fetched {
+                    Ok(trace) => {
+                        if work[w].policies.is_empty() {
+                            // Nothing to simulate; never resident.
+                        } else {
+                            st.resident_bytes += trace.resident_bytes();
+                            st.traces.insert(w, Arc::new(trace));
+                            st.peak_traces = st.peak_traces.max(st.traces.len());
+                            st.peak_bytes = st.peak_bytes.max(st.resident_bytes);
+                            for pos in 0..work[w].policies.len() {
+                                st.ready.push_back((w, pos));
+                            }
+                            queue_depth.add(work[w].policies.len() as i64);
+                        }
+                    }
+                    Err(e) => {
+                        if st.error.is_none() {
+                            st.error = Some(e);
+                        }
+                        // Stop admitting; let in-flight work drain.
+                        st.next = work.len();
+                        queue_depth.add(-(st.ready.len() as i64));
+                        st.ready.clear();
+                    }
+                }
+                cvar.notify_all();
+            }
+            Task::Sim(w, group) => {
+                let trace = {
+                    let st = state.lock().expect("scheduler lock");
+                    Arc::clone(st.traces.get(&w).expect("ready task has resident trace"))
+                };
+                let sim_started = Instant::now();
+                let rs = simulate_group(w, &group, &trace);
+                sim_latency.record(sim_started.elapsed().as_micros() as u64);
+                drop(trace);
+                assert_eq!(rs.len(), group.len(), "one result per group position");
+                {
+                    let mut slots = results.lock().expect("results lock");
+                    for (&pos, r) in group.iter().zip(rs) {
+                        slots[w][pos] = Some(r);
+                    }
+                }
+                let mut st = state.lock().expect("scheduler lock");
+                st.active -= 1;
+                st.remaining[w] -= group.len();
+                if st.remaining[w] == 0 {
+                    if let Some(t) = st.traces.remove(&w) {
+                        st.resident_bytes -= t.resident_bytes();
+                    }
+                }
+                cvar.notify_all();
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     let st = state.into_inner().expect("scheduler lock");
@@ -535,13 +512,16 @@ mod tests {
             WorkItem { bench: 0, policies: vec![0, 1, 2] },
             WorkItem { bench: 1, policies: vec![1] },
         ];
-        let (results, summary) = run_units(
+        let (results, summary) = run_unit_groups(
             &work,
             4,
             64,
             None,
+            1,
             |item| Ok(trace_of_len(10 * (item.bench + 1))),
-            |w, pos, trace| (w, work[w].policies[pos], trace.len()),
+            |w, positions, trace| {
+                positions.iter().map(|&pos| (w, work[w].policies[pos], trace.len())).collect()
+            },
         )
         .unwrap();
         assert_eq!(results, vec![vec![(0, 0, 10), (0, 1, 10), (0, 2, 10)], vec![(1, 1, 20)]]);
@@ -602,11 +582,12 @@ mod tests {
             WorkItem { bench: 0, policies: vec![0] },
             WorkItem { bench: 1, policies: vec![0] },
         ];
-        let (results, summary) = run_units(
+        let (results, summary) = run_unit_groups(
             &work,
             2,
             64,
             None,
+            1,
             |item| {
                 let now = in_fetch.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
@@ -617,7 +598,7 @@ mod tests {
                 in_fetch.fetch_sub(1, Ordering::SeqCst);
                 Ok(trace_of_len(item.bench + 1))
             },
-            |_, _, trace| trace.len(),
+            |_, positions, trace| vec![trace.len(); positions.len()],
         )
         .unwrap();
         assert_eq!(peak.load(Ordering::SeqCst), 2, "both fetches must be in flight at once");
@@ -632,13 +613,14 @@ mod tests {
         let est = 64u64;
         // Budget fits exactly one estimated fetch; once any trace is
         // resident (resident_bytes > 0), a second fetch never fits.
-        let (results, summary) = run_units(
+        let (results, summary) = run_unit_groups(
             &work,
             4,
             est,
             Some(est),
+            1,
             |item| Ok(trace_of_len(8 + item.bench)),
-            |_, _, trace| trace.len(),
+            |_, positions, trace| vec![trace.len(); positions.len()],
         )
         .unwrap();
         assert_eq!(results.len(), 4);
@@ -650,9 +632,16 @@ mod tests {
     fn oversized_trace_still_admitted_when_alone() {
         let work = vec![WorkItem { bench: 0, policies: vec![0] }];
         // Estimate far above budget: the alone-rule must admit it anyway.
-        let (results, _) =
-            run_units(&work, 2, 1 << 30, Some(1024), |_| Ok(trace_of_len(5)), |_, _, t| t.len())
-                .unwrap();
+        let (results, _) = run_unit_groups(
+            &work,
+            2,
+            1 << 30,
+            Some(1024),
+            1,
+            |_| Ok(trace_of_len(5)),
+            |_, p, t| vec![t.len(); p.len()],
+        )
+        .unwrap();
         assert_eq!(results, vec![vec![5]]);
     }
 
@@ -662,11 +651,12 @@ mod tests {
             WorkItem { bench: 0, policies: vec![0] },
             WorkItem { bench: 1, policies: vec![0] },
         ];
-        let err = run_units(
+        let err = run_unit_groups(
             &work,
             2,
             64,
             None,
+            1,
             |item| {
                 if item.bench == 1 {
                     Err(StoreError::Corrupt("boom".into()))
@@ -674,7 +664,7 @@ mod tests {
                     Ok(trace_of_len(3))
                 }
             },
-            |_, _, trace| trace.len(),
+            |_, positions, trace| vec![trace.len(); positions.len()],
         )
         .unwrap_err();
         assert!(err.to_string().contains("boom"));
@@ -682,13 +672,14 @@ mod tests {
 
     #[test]
     fn empty_work_completes_immediately() {
-        let (results, summary) = run_units(
+        let (results, summary) = run_unit_groups(
             &[],
             3,
             64,
             Some(1),
+            1,
             |_: &WorkItem| Ok(trace_of_len(1)),
-            |_, _, t: &PackedTrace| t.len(),
+            |_, positions: &[usize], t: &PackedTrace| vec![t.len(); positions.len()],
         )
         .unwrap();
         assert!(results.is_empty());
@@ -766,9 +757,16 @@ mod tests {
         // so the peak is exactly one even without a budget.
         let work: Vec<WorkItem> =
             (0..3).map(|b| WorkItem { bench: b, policies: vec![0] }).collect();
-        let (_, summary) =
-            run_units(&work, 1, 64, None, |i| Ok(trace_of_len(4 + i.bench)), |_, _, t| t.len())
-                .unwrap();
+        let (_, summary) = run_unit_groups(
+            &work,
+            1,
+            64,
+            None,
+            1,
+            |i| Ok(trace_of_len(4 + i.bench)),
+            |_, p, t| vec![t.len(); p.len()],
+        )
+        .unwrap();
         assert_eq!(summary.peak_resident_traces, 1);
     }
 }

@@ -1,13 +1,16 @@
 //! Epoch-resolved run telemetry: phase series for every (benchmark ×
 //! policy) unit of a suite run.
 //!
-//! [`run_suite_telemetry`] drives the same scheduler as
-//! [`run_suite`](crate::runner::run_suite) but simulates through
-//! [`Simulator::run_instrumented`], collecting one [`UnitSeries`] per
-//! (benchmark × policy) pair alongside the ordinary [`BenchRun`]s. The
-//! instrumentation is strictly observational — the returned results are
-//! bit-identical to an uninstrumented run (pinned by
-//! `instrumented_run_matches_plain_suite` below) — but telemetry runs
+//! [`run_suite_telemetry`] drives the same scheduler and the same factored
+//! chunk driver as [`run_suite`](crate::runner::run_suite): one shared
+//! front end per benchmark, one replay back-end per policy. An epoch
+//! boundary is one more cut in that driver, beside the warmup cut; at
+//! each one every back-end hands its counters to its epoch sampler, so
+//! telemetry adds no per-record work and no second simulation loop. It
+//! collects one [`UnitSeries`] per (benchmark × policy) pair alongside the
+//! ordinary [`BenchRun`]s. The instrumentation is strictly observational —
+//! the returned results are bit-identical to an uninstrumented run (pinned
+//! by `instrumented_run_matches_plain_suite` below) — but telemetry runs
 //! always simulate directly: they bypass the run ledger, because a ledger
 //! hit has no epoch series to return.
 //!
@@ -16,10 +19,10 @@
 //! parser ([`read_series`]) and external tooling (jq, pandas) read them
 //! without a schema.
 
-use crate::engine::Simulator;
+use crate::frontend::{group_sig_configs, GroupRun};
 use crate::registry::PolicyKind;
 use crate::runner::{BenchRun, RunnerConfig};
-use crate::sched::{run_units, WorkItem};
+use crate::sched::{run_unit_groups, WorkItem};
 use crate::store_cache::run_key;
 use chirp_store::json::JsonObject;
 use chirp_store::{hex16, parse_hex16, StoreError};
@@ -28,8 +31,8 @@ use chirp_tlb::DeadOutcomes;
 use chirp_trace::suite::BenchmarkSpec;
 use std::path::Path;
 
-/// Names of the per-epoch delta counters, in the order
-/// `Simulator::run_instrumented` snapshots them into [`EpochRow::deltas`].
+/// Names of the per-epoch delta counters, in the order each factored
+/// back-end snapshots them into [`EpochRow::deltas`].
 pub const COUNTER_SCHEMA: [&str; 10] = [
     "cycles",
     "hits",
@@ -216,13 +219,15 @@ impl UnitSeries {
 /// the ordinary results plus one epoch series per (benchmark × policy)
 /// pair, both in `suite` × `policies` order.
 ///
-/// The results are bit-identical to [`run_suite`](crate::runner::run_suite)
-/// on the same inputs — instrumentation never feeds back into the
-/// simulation. Unlike `run_suite`, this path never consults the store:
-/// ledger hits skip simulation and therefore cannot produce a series.
-/// With `spec.mode` off the simulations run uninstrumented (today's exact
-/// hot loop) and every series is empty — that degenerate call is what the
-/// overhead benchmark compares against.
+/// Each benchmark's policies run as one group through the factored chunk
+/// driver — groups of one policy too — with an epoch cut every
+/// `spec.epoch_instructions` measured instructions. The results are
+/// bit-identical to [`run_suite`](crate::runner::run_suite) on the same
+/// inputs: instrumentation never feeds back into the simulation. Unlike
+/// `run_suite`, this path never consults the store: ledger hits skip
+/// simulation and therefore cannot produce a series. With `spec.mode`
+/// off no epoch is cut and every series is empty — that degenerate call
+/// is what the overhead benchmark compares against.
 pub fn run_suite_telemetry(
     suite: &[BenchmarkSpec],
     policies: &[PolicyKind],
@@ -232,33 +237,42 @@ pub fn run_suite_telemetry(
     let work: Vec<WorkItem> = (0..suite.len())
         .map(|bench| WorkItem { bench, policies: (0..policies.len()).collect() })
         .collect();
-    let (results, _) = run_units(
+    let epoch = spec.mode.is_enabled().then_some(spec.epoch_instructions);
+    let (results, _) = run_unit_groups(
         &work,
         config.worker_threads(),
         config.trace_estimate(),
         config.mem_budget,
+        policies.len(),
         |item| Ok(suite[item.bench].generate_packed(config.instructions)),
-        |w, pos, trace| {
+        |w, positions, trace| {
             let bench = &suite[work[w].bench];
-            let policy = &policies[work[w].policies[pos]];
-            let mut sim = Simulator::with_policy(
+            let kinds: Vec<&PolicyKind> =
+                positions.iter().map(|&pos| &policies[work[w].policies[pos]]).collect();
+            let mut run = GroupRun::new(
                 &config.sim,
-                policy.build_dispatch(config.sim.tlb.l2, bench.seed),
+                &group_sig_configs(kinds.iter().copied()),
+                kinds.iter().map(|k| k.build_dispatch(config.sim.tlb.l2, bench.seed)).collect(),
+                trace.len(),
+                config.sim.warmup_fraction,
+                epoch,
             );
-            let (result, rows) = if spec.mode.is_enabled() {
-                sim.run_instrumented(trace, config.sim.warmup_fraction, spec.epoch_instructions)
-            } else {
-                (sim.run_columnar(trace, config.sim.warmup_fraction), Vec::new())
-            };
-            let run = BenchRun { benchmark: bench.name.clone(), category: bench.category, result };
-            let series = UnitSeries {
-                benchmark: bench.name.clone(),
-                policy: policy.name().to_string(),
-                run_key: run_key(&config.sim, policy, &bench.name, config.instructions),
-                epoch_instructions: spec.epoch_instructions,
-                rows: rows.iter().map(EpochRecord::from_row).collect(),
-            };
-            (run, series)
+            run.feed(trace);
+            let mut rows = run.take_epochs().into_iter();
+            (run.finish().into_iter().zip(kinds))
+                .map(|((result, _), policy)| {
+                    let rows = rows.next().unwrap_or_default();
+                    let series = UnitSeries {
+                        benchmark: bench.name.clone(),
+                        policy: policy.name().to_string(),
+                        run_key: run_key(&config.sim, policy, &bench.name, config.instructions),
+                        epoch_instructions: spec.epoch_instructions,
+                        rows: rows.iter().map(EpochRecord::from_row).collect(),
+                    };
+                    let category = bench.category;
+                    (BenchRun { benchmark: bench.name.clone(), category, result }, series)
+                })
+                .collect()
         },
     )
     .expect("direct fetch is infallible");
@@ -306,38 +320,38 @@ pub fn write_series(path: &Path, series: &[UnitSeries]) -> std::io::Result<()> {
 /// (benchmark, policy). Derived fields are recomputed, not trusted, so a
 /// round-trip is exact.
 ///
+/// Counts no run could produce are rejected rather than handed on to the
+/// aggregates that sum them: a row with more cold fills than misses, or a
+/// file whose total of `hits + misses`, of `table_accesses`, of the four
+/// dead-prediction outcomes or of `instructions` overflows `u64`. Totals
+/// are taken over the whole file, so the sums of every unit and of every
+/// per-policy rollup across units fit too.
+///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] if the file cannot be read and
-/// [`StoreError::Corrupt`] for lines that do not parse or lack schema
-/// fields.
+/// [`StoreError::Corrupt`] for lines that do not parse, lack schema
+/// fields or hold counts no run could produce.
 pub fn read_series(path: &Path) -> Result<Vec<UnitSeries>, StoreError> {
     let text = std::fs::read_to_string(path)
         .map_err(|source| StoreError::Io { context: "read telemetry series", source })?;
     let mut series: Vec<UnitSeries> = Vec::new();
+    // Running totals over the file, in the order `totals` names them.
+    let mut sums = [0u64; 4];
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let obj = JsonObject::parse(line).map_err(|e| {
-            StoreError::Corrupt(format!("telemetry series {}:{}: {e}", path.display(), lineno + 1))
-        })?;
-        let field = |key: &str| {
-            obj.u64_field(key).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "telemetry series {}:{}: missing field {key:?}",
-                    path.display(),
-                    lineno + 1
-                ))
-            })
-        };
-        let missing = |key: &str| {
+        let corrupt = |what: String| {
             StoreError::Corrupt(format!(
-                "telemetry series {}:{}: missing field {key:?}",
+                "telemetry series {}:{}: {what}",
                 path.display(),
                 lineno + 1
             ))
         };
+        let obj = JsonObject::parse(line).map_err(|e| corrupt(e.to_string()))?;
+        let missing = |key: &str| corrupt(format!("missing field {key:?}"));
+        let field = |key: &str| obj.u64_field(key).ok_or_else(|| missing(key));
         let benchmark = obj.str_field("benchmark").ok_or_else(|| missing("benchmark"))?;
         let policy = obj.str_field("policy").ok_or_else(|| missing("policy"))?;
         let record = EpochRecord {
@@ -355,25 +369,38 @@ pub fn read_series(path: &Path) -> Result<Vec<UnitSeries>, StoreError> {
             false_live: field("false_live")?,
             occupancy: obj.f64_field("occupancy").ok_or_else(|| missing("occupancy"))?,
         };
+        if record.cold_fills > record.misses {
+            return Err(corrupt("more cold_fills than misses".to_string()));
+        }
         // Files written before the cross-reference existed have no
         // run_key; 0 marks "unknown" rather than failing the read.
         let unit_key = obj.str_field("run_key").and_then(parse_hex16).unwrap_or(0);
-        match series.last_mut() {
-            Some(unit)
-                if unit.benchmark == benchmark
-                    && unit.policy == policy
-                    && unit.run_key == unit_key =>
-            {
-                unit.rows.push(record)
-            }
-            _ => series.push(UnitSeries {
+        let same_unit = series.last().is_some_and(|unit| {
+            unit.benchmark == benchmark && unit.policy == policy && unit.run_key == unit_key
+        });
+        if !same_unit {
+            series.push(UnitSeries {
                 benchmark: benchmark.to_string(),
                 policy: policy.to_string(),
                 run_key: unit_key,
                 epoch_instructions: field("epoch_len")?,
-                rows: vec![record],
-            }),
+                rows: Vec::new(),
+            });
         }
+        let r = &record;
+        let totals: [(&str, &[u64]); 4] = [
+            ("hits + misses", &[r.hits, r.misses]),
+            ("table_accesses", &[r.table_accesses]),
+            ("dead-prediction outcomes", &[r.true_dead, r.false_dead, r.true_live, r.false_live]),
+            ("instructions", &[r.instructions]),
+        ];
+        for ((name, terms), sum) in totals.iter().zip(&mut sums) {
+            *sum = terms
+                .iter()
+                .try_fold(*sum, |acc, &term| acc.checked_add(term))
+                .ok_or_else(|| corrupt(format!("total of {name} overflows u64")))?;
+        }
+        series.last_mut().expect("unit pushed above").rows.push(record);
     }
     Ok(series)
 }
@@ -390,33 +417,90 @@ mod tests {
         TelemetrySpec { mode: TelemetryMode::Epochs, epoch_instructions: epoch }
     }
 
+    fn lineup9() -> Vec<PolicyKind> {
+        let mut p = PolicyKind::paper_lineup();
+        p.push(PolicyKind::Drrip);
+        p.push(PolicyKind::PerceptronReuse);
+        p.push(PolicyKind::Chirp(ChirpConfig { path_length: 8, ..ChirpConfig::default() }));
+        p
+    }
+
+    /// Runs `policies` over 4 benchmarks × 16K instructions plain and
+    /// instrumented, and checks that the results are identical and that
+    /// every unit's epochs tile its measured window: full epochs but the
+    /// last, and epoch sums of every run total.
+    fn check_epochs_tile_results(policies: &[PolicyKind], warmup_fraction: f64, epoch: u64) {
+        let suite = build_suite(&SuiteConfig { benchmarks: 4 });
+        let mut config = RunnerConfig { instructions: 16_000, threads: 2, ..Default::default() };
+        config.sim.warmup_fraction = warmup_fraction;
+        let plain = run_suite(&suite, policies, &config);
+        let (instrumented, series) = run_suite_telemetry(&suite, policies, &config, &spec(epoch));
+        assert_eq!(instrumented, plain, "telemetry must not perturb results");
+        assert_eq!(series.len(), suite.len() * policies.len());
+        for (run, unit) in instrumented.iter().zip(&series) {
+            let r = &run.result;
+            let at =
+                format!("{}/{} warmup {warmup_fraction} epoch {epoch}", unit.benchmark, r.policy);
+            assert_eq!(unit.benchmark, run.benchmark);
+            assert_eq!(unit.policy, r.policy);
+            assert_eq!(unit.rows.len() as u64, r.instructions.div_ceil(epoch), "{at}");
+            for (i, row) in unit.rows.iter().enumerate() {
+                assert_eq!(row.epoch, i as u64, "{at}");
+                if i + 1 < unit.rows.len() {
+                    assert_eq!(row.instructions, epoch, "{at}: only the last epoch is partial");
+                }
+            }
+            let sum = |f: fn(&EpochRecord) -> u64| unit.rows.iter().map(f).sum::<u64>();
+            assert_eq!(sum(|e| e.instructions), r.instructions, "{at}: instructions");
+            assert_eq!(sum(|e| e.cycles), r.cycles, "{at}: cycles");
+            assert_eq!(sum(|e| e.hits), r.l2_tlb.hits, "{at}: hits");
+            assert_eq!(sum(|e| e.misses), r.l2_tlb.misses, "{at}: misses");
+            assert_eq!(sum(|e| e.cold_fills), r.l2_tlb.cold_fills, "{at}: cold fills");
+            assert_eq!(sum(|e| e.dead_evictions), r.l2_tlb.dead_evictions, "{at}: dead evictions");
+        }
+    }
+
     /// The subsystem's equivalence gate: a fully instrumented suite run
-    /// must return bit-identical results to the uninstrumented runner over
-    /// a 4-benchmark × 3-policy matrix.
+    /// must return bit-identical results to the uninstrumented runner, and
+    /// its epochs must add up to the run totals, for lineup9 groups and
+    /// single-policy groups, at warmup 0, ½ and 1 (no measured window, so
+    /// no rows), with an epoch length that divides the measured window,
+    /// one that does not and one longer than it.
     #[test]
     fn instrumented_run_matches_plain_suite() {
+        let lineup = lineup9();
+        check_epochs_tile_results(&lineup, 0.5, 2_000);
+        check_epochs_tile_results(&lineup, 0.5, 3_000);
+        check_epochs_tile_results(&lineup, 0.5, 50_000);
+        check_epochs_tile_results(&lineup, 0.0, 3_000);
+        check_epochs_tile_results(&lineup, 1.0, 3_000);
+        let single = [PolicyKind::Chirp(ChirpConfig::default())];
+        check_epochs_tile_results(&single, 0.5, 3_000);
+        check_epochs_tile_results(&single, 0.0, 2_000);
+        check_epochs_tile_results(&single, 1.0, 2_000);
+        check_epochs_tile_results(&[PolicyKind::Ghrp], 0.5, 50_000);
+    }
+
+    /// Pins the series to the ones the per-record instrumented loop
+    /// (`Simulator::run_instrumented`, since replaced by epoch cuts in the
+    /// factored chunk driver) wrote for the same inputs: FNV-1a digests
+    /// and lengths of the `write_series` bytes for lineup9 × 4 benchmarks
+    /// × 16K instructions, at an epoch length that divides the 8K
+    /// measured window and at one that does not.
+    #[test]
+    fn series_match_the_per_record_capture() {
         let suite = build_suite(&SuiteConfig { benchmarks: 4 });
-        let policies =
-            [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Chirp(ChirpConfig::default())];
         let config = RunnerConfig { instructions: 16_000, threads: 2, ..Default::default() };
-        let plain = run_suite(&suite, &policies, &config);
-        let (instrumented, series) = run_suite_telemetry(&suite, &policies, &config, &spec(2_000));
-        assert_eq!(instrumented, plain, "telemetry must not perturb results");
-        assert_eq!(series.len(), 12);
-        for (run, unit) in instrumented.iter().zip(&series) {
-            assert_eq!(unit.benchmark, run.benchmark);
-            assert_eq!(unit.policy, run.result.policy);
-            assert!(!unit.rows.is_empty(), "epochs mode must produce rows");
-            assert_eq!(
-                unit.total_instructions(),
-                run.result.instructions,
-                "epochs must tile the measured window exactly"
-            );
-            assert_eq!(
-                unit.rows.iter().map(|r| r.misses).sum::<u64>(),
-                run.result.l2_tlb.misses,
-                "epoch miss deltas must sum to the run total"
-            );
+        let dir = TempDir::new("telemetry-capture");
+        for (epoch, len, digest) in
+            [(2_000, 50_374, 0x1fb8_37b1_279f_a0dc), (3_000, 38_455, 0x957d_f74a_fb04_249e)]
+        {
+            let (_, series) = run_suite_telemetry(&suite, &lineup9(), &config, &spec(epoch));
+            let path = dir.path().join(format!("epochs_{epoch}.jsonl"));
+            write_series(&path, &series).expect("write series");
+            let bytes = std::fs::read(&path).expect("read series");
+            assert_eq!(bytes.len(), len, "epoch {epoch}: series length");
+            assert_eq!(chirp_store::hash::fnv64(&bytes), digest, "epoch {epoch}: series digest");
         }
     }
 
@@ -463,6 +547,97 @@ mod tests {
         write_series(&path, &series).expect("write series");
         let back = read_series(&path).expect("read series");
         assert_eq!(back, series, "JSONL round-trip must be exact");
+    }
+
+    /// One series line with valid counts, `overrides` applied.
+    fn series_line(overrides: &[(&str, u64)]) -> String {
+        let mut fields = vec![
+            ("epoch_len", 1_000),
+            ("epoch", 0),
+            ("instructions", 1_000),
+            ("cycles", 4_000),
+            ("hits", 90),
+            ("misses", 10),
+            ("cold_fills", 4),
+            ("dead_evictions", 3),
+            ("table_accesses", 12),
+            ("true_dead", 2),
+            ("false_dead", 1),
+            ("true_live", 2),
+            ("false_live", 1),
+        ];
+        for &(key, value) in overrides {
+            fields.iter_mut().find(|(k, _)| *k == key).expect("schema field").1 = value;
+        }
+        let row = JsonRow::new().str("benchmark", "b").str("policy", "chirp");
+        fields.into_iter().fold(row, |row, (k, v)| row.u64(k, v)).f64("occupancy", 0.5).render()
+    }
+
+    fn read_lines(lines: &[String]) -> Result<Vec<UnitSeries>, StoreError> {
+        let dir = TempDir::new("telemetry-lines");
+        let path = dir.path().join("series.jsonl");
+        std::fs::write(&path, lines.join("\n")).expect("write");
+        read_series(&path)
+    }
+
+    /// Counts no run could produce are refused with `Corrupt`, so the
+    /// aggregates that sum them never see them: a row with more cold fills
+    /// than misses, and a file whose total of each summed counter
+    /// overflows, within one row, across a unit's rows or across units
+    /// (the per-policy rollup merges outcomes over units).
+    #[test]
+    fn read_series_rejects_counts_no_run_could_produce() {
+        let max = u64::MAX;
+        let half = 1u64 << 63;
+        let cases: Vec<(&str, Vec<String>)> = vec![
+            ("cold_fills", vec![series_line(&[("misses", 3), ("cold_fills", 4)])]),
+            (
+                "hits + misses",
+                vec![series_line(&[("hits", max), ("misses", 1), ("cold_fills", 0)])],
+            ),
+            ("hits + misses", vec![series_line(&[("hits", half)]), series_line(&[("hits", half)])]),
+            ("table_accesses", vec![series_line(&[("table_accesses", max)]), series_line(&[])]),
+            ("outcomes", vec![series_line(&[("true_dead", max), ("false_live", 1)])]),
+            (
+                "outcomes",
+                vec![series_line(&[("true_live", half)]), series_line(&[("false_dead", half)])],
+            ),
+            (
+                "outcomes",
+                vec![
+                    series_line(&[("true_dead", half)]),
+                    series_line(&[("true_dead", half)]).replace("\"b\"", "\"c\""),
+                ],
+            ),
+            ("instructions", vec![series_line(&[("instructions", max)]), series_line(&[])]),
+        ];
+        for (what, lines) in cases {
+            match read_lines(&lines) {
+                Err(StoreError::Corrupt(msg)) => {
+                    let key = if what == "outcomes" { "dead-prediction outcomes" } else { what };
+                    assert!(msg.contains(key), "{what}: got {msg}");
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// Totals that reach but do not pass `u64::MAX` are valid, and such a
+    /// file round-trips exactly.
+    #[test]
+    fn read_series_keeps_valid_extremes() {
+        let lines = [
+            series_line(&[("hits", u64::MAX - 20), ("instructions", u64::MAX - 1_000)]),
+            series_line(&[("epoch", 1), ("hits", 0), ("misses", 10)]),
+        ];
+        let series = read_lines(&lines).expect("valid series");
+        assert_eq!(series.len(), 1);
+        assert_eq!(series[0].rows.len(), 2);
+        assert_eq!(series[0].total_instructions(), u64::MAX);
+        let dir = TempDir::new("telemetry-extremes");
+        let path = dir.path().join("again.jsonl");
+        write_series(&path, &series).expect("write series");
+        assert_eq!(read_series(&path).expect("read back"), series);
     }
 
     #[test]

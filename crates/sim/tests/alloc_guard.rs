@@ -1,5 +1,6 @@
 //! Zero-allocation guards for the monomorphized columnar hot loop, the
-//! factored back-end replay and the factored group driver.
+//! factored back-end replay and the factored group driver, with epochs
+//! off and on.
 //!
 //! A counting global allocator wraps the system allocator; the test then
 //! measures `Simulator::run_columnar` on a short and a long trace with the
@@ -18,7 +19,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use chirp_core::ChirpConfig;
-use chirp_sim::{PolicyKind, SimConfig, Simulator};
+use chirp_sim::{
+    run_suite_telemetry, PolicyKind, RunnerConfig, SimConfig, Simulator, TelemetrySpec,
+};
+use chirp_telemetry::TelemetryMode;
 use chirp_trace::suite::{build_suite, SuiteConfig};
 
 struct CountingAlloc;
@@ -172,5 +176,42 @@ fn policy_group_allocates_per_group_not_per_chunk() {
         long, short,
         "run_policy_group allocates per chunk: {short} allocations over 40k instructions \
          vs {long} over 400k"
+    );
+}
+
+/// Allocation count of one epochs-on `run_suite_telemetry` call over one
+/// benchmark × lineup9 on one thread: one group through the factored
+/// driver, `epochs` epoch cuts in its measured window. The scheduler runs
+/// its one worker on the calling thread, so the count sees the whole run;
+/// the allocations of generating the trace, which the run does inside,
+/// are counted separately and taken off.
+fn allocs_for_epoch_group(instructions: usize, epochs: u64) -> u64 {
+    let suite = build_suite(&SuiteConfig { benchmarks: 1 });
+    let config = RunnerConfig { instructions, threads: 1, ..Default::default() };
+    let measured = instructions - (instructions as f64 * config.sim.warmup_fraction) as usize;
+    let spec =
+        TelemetrySpec { mode: TelemetryMode::Epochs, epoch_instructions: measured as u64 / epochs };
+    let before = allocations();
+    drop(suite[0].generate_packed(instructions));
+    let generation = allocations() - before;
+    let before = allocations();
+    let (runs, series) = run_suite_telemetry(&suite, &lineup9(), &config, &spec);
+    let after = allocations();
+    assert_eq!(runs.len(), 9);
+    assert!(series.iter().all(|unit| unit.rows.len() as u64 == epochs));
+    after - before - generation
+}
+
+/// Epoch sampling allocates per epoch, never per chunk or per record: a
+/// lineup9 group over 400K instructions may not allocate more than one
+/// over 40K with the same number of epochs.
+#[test]
+fn epoch_sampling_allocates_per_epoch_not_per_chunk() {
+    let short = allocs_for_epoch_group(40_000, 4);
+    let long = allocs_for_epoch_group(400_000, 4);
+    assert_eq!(
+        long, short,
+        "epoch sampling allocates per chunk: {short} allocations over 40k instructions \
+         vs {long} over 400k, 4 epochs each"
     );
 }

@@ -1,13 +1,13 @@
 //! The epoch sampler: turns absolute counter snapshots taken every N
 //! instructions into per-epoch delta rows.
 //!
-//! The driving loop owns the counters (they are usually plain `u64`s on
+//! The driver owns the counters (they are usually plain `u64`s on
 //! simulator state, not atomics — single-threaded per simulation unit) and
-//! the sampler owns the cadence: call [`EpochSampler::tick`] once per
-//! instruction, and when it returns `true` hand over a fresh absolute
-//! snapshot via [`EpochSampler::sample`]. [`EpochSampler::finish`] flushes
-//! the final partial epoch, so traces whose length is not a multiple of
-//! the epoch size lose no instructions — the last row is simply shorter.
+//! the cadence: at each epoch boundary it hands over a fresh absolute
+//! snapshot and the instructions the epoch covered via
+//! [`EpochSampler::sample`]. [`EpochSampler::finish`] flushes the final
+//! partial epoch, so traces whose length is not a multiple of the epoch
+//! size lose no instructions — the last row is simply shorter.
 
 /// One epoch's worth of deltas plus point-in-time gauge readings.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +28,6 @@ pub struct EpochRow {
 #[derive(Debug, Clone)]
 pub struct EpochSampler {
     epoch_instructions: u64,
-    in_epoch: u64,
     baseline: Vec<u64>,
     rows: Vec<EpochRow>,
 }
@@ -42,56 +41,39 @@ impl EpochSampler {
     /// Panics if `epoch_instructions` is zero.
     pub fn new(epoch_instructions: u64, baseline: Vec<u64>) -> EpochSampler {
         assert!(epoch_instructions > 0, "epoch length must be positive");
-        EpochSampler { epoch_instructions, in_epoch: 0, baseline, rows: Vec::new() }
+        EpochSampler { epoch_instructions, baseline, rows: Vec::new() }
     }
 
-    /// The configured epoch length in instructions.
-    pub fn epoch_instructions(&self) -> u64 {
-        self.epoch_instructions
-    }
-
-    /// Counts one instruction; returns `true` when the epoch is full and
-    /// the caller must [`sample`](Self::sample).
-    #[inline]
-    pub fn tick(&mut self) -> bool {
-        self.in_epoch += 1;
-        self.in_epoch == self.epoch_instructions
-    }
-
-    /// Closes the current epoch: records deltas of `counters` against the
-    /// previous snapshot plus the given gauge readings, then re-baselines.
+    /// Closes an epoch of `instructions` instructions: records deltas of
+    /// `counters` against the previous snapshot plus the given gauge
+    /// readings, then re-baselines.
     ///
     /// # Panics
     ///
     /// Panics if `counters` disagrees in length with the baseline or if any
     /// counter moved backwards (they are cumulative by contract).
-    pub fn sample(&mut self, counters: &[u64], gauges: Vec<f64>) {
+    pub fn sample(&mut self, instructions: u64, counters: &[u64], gauges: Vec<f64>) {
+        debug_assert!(instructions <= self.epoch_instructions, "epoch longer than its length");
         assert_eq!(counters.len(), self.baseline.len(), "snapshot schema changed mid-run");
         let deltas = counters
             .iter()
             .zip(&self.baseline)
             .map(|(&now, &then)| now.checked_sub(then).expect("cumulative counters never decrease"))
             .collect();
-        self.rows.push(EpochRow {
-            epoch: self.rows.len() as u64,
-            instructions: self.in_epoch,
-            deltas,
-            gauges,
-        });
+        self.rows.push(EpochRow { epoch: self.rows.len() as u64, instructions, deltas, gauges });
         self.baseline.copy_from_slice(counters);
-        self.in_epoch = 0;
     }
 
-    /// Rows closed so far.
-    pub fn rows(&self) -> &[EpochRow] {
-        &self.rows
-    }
-
-    /// Flushes the final partial epoch (if any instructions are pending)
-    /// and returns every row.
-    pub fn finish(mut self, counters: &[u64], gauges: Vec<f64>) -> Vec<EpochRow> {
-        if self.in_epoch > 0 {
-            self.sample(counters, gauges);
+    /// Flushes the final partial epoch of `instructions` instructions (if
+    /// there are any) and returns every row.
+    pub fn finish(
+        mut self,
+        instructions: u64,
+        counters: &[u64],
+        gauges: Vec<f64>,
+    ) -> Vec<EpochRow> {
+        if instructions > 0 {
+            self.sample(instructions, counters, gauges);
         }
         self.rows
     }
@@ -101,18 +83,16 @@ impl EpochSampler {
 mod tests {
     use super::*;
 
-    /// Drives a sampler over `total` ticks with a counter that increments
-    /// twice per instruction, sampling at every boundary.
+    /// Drives a sampler over `total` instructions with a counter that
+    /// increments twice per instruction, sampling at every boundary.
     fn drive(epoch: u64, total: u64) -> Vec<EpochRow> {
         let mut sampler = EpochSampler::new(epoch, vec![0]);
-        let mut count = 0u64;
-        for i in 0..total {
-            count += 2;
-            if sampler.tick() {
-                sampler.sample(&[count], vec![i as f64]);
-            }
+        let mut done = 0u64;
+        while total - done >= epoch {
+            done += epoch;
+            sampler.sample(epoch, &[2 * done], vec![done as f64]);
         }
-        sampler.finish(&[count], vec![f64::from(u8::MAX)])
+        sampler.finish(total - done, &[2 * total], vec![f64::from(u8::MAX)])
     }
 
     #[test]
@@ -156,13 +136,9 @@ mod tests {
     #[test]
     fn deltas_are_per_epoch_not_cumulative() {
         let mut sampler = EpochSampler::new(2, vec![10, 0]);
-        sampler.tick();
-        assert!(sampler.tick());
-        sampler.sample(&[13, 5], vec![]);
-        sampler.tick();
-        assert!(sampler.tick());
-        sampler.sample(&[14, 9], vec![]);
-        let rows = sampler.finish(&[14, 9], vec![]);
+        sampler.sample(2, &[13, 5], vec![]);
+        sampler.sample(2, &[14, 9], vec![]);
+        let rows = sampler.finish(0, &[14, 9], vec![]);
         assert_eq!(rows.len(), 2, "finish with nothing pending adds no row");
         assert_eq!(rows[0].deltas, vec![3, 5]);
         assert_eq!(rows[1].deltas, vec![1, 4]);
@@ -178,7 +154,6 @@ mod tests {
     #[should_panic(expected = "schema changed")]
     fn schema_drift_rejected() {
         let mut sampler = EpochSampler::new(1, vec![0, 0]);
-        sampler.tick();
-        sampler.sample(&[1], vec![]);
+        sampler.sample(1, &[1], vec![]);
     }
 }

@@ -80,6 +80,21 @@ cargo run --release -q -p chirp-bench --bin run_all -- \
     --store "$query_store" > "$smoke_dir/run_all_store.out"
 grep -q "==== Ledger" "$smoke_dir/run_all_store.out"
 test -s "$query_store/runs.jsonl"
+# Epochs are observational: the telemetry smoke's run and this one use
+# the same suite flags, so their Figure 7/8/1/11 tables must match line
+# for line.
+figure_tables() {
+    awk '/^==== Figure (7|8|1|11) ====$/ { keep = 1; print; next }
+         /^====|^\[scheduler\]/ { keep = 0 }
+         keep' "$1"
+}
+test "$(figure_tables "$smoke_dir/run_all.out" | grep -c '^==== Figure')" -eq 4
+if ! diff <(figure_tables "$smoke_dir/run_all.out") \
+    <(figure_tables "$smoke_dir/run_all_store.out") > "$smoke_dir/figures.diff"; then
+    echo "ERROR: --telemetry epochs changed the Figure 7/8/1/11 tables" >&2
+    cat "$smoke_dir/figures.diff" >&2
+    exit 1
+fi
 # The scalar a query returns must be the ledger's own number, byte for
 # byte — the bit-identity guarantee the query layer is built around.
 best_eff="$(cargo run --release -q -p chirp-query --bin chirp-query -- \
